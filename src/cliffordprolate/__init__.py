@@ -16,7 +16,7 @@ from .algebra import Multivector, blade_product, embed
 from .galerkin import ConvergenceError, SymTridiag, build_even, build_odd, solve_radial
 from .legendre import bonnet_coeffs, c0_eigenvalue, radial_sequence
 from .monogenics import MonogenicBasis, PolyMultivector, basis, dim_monogenic, dirac
-from .prolate import Cpswf, eval_field, eval_radial, lambda_of, make_cpswf, mu
+from .prolate import Cpswf, eval_field, eval_radial, make_cpswf
 from .operators import apply_Gc, apply_QPc, kernel_Kc, verify
 from .accumulation import limit_value, partial_sum, zonal_trace
 
@@ -27,7 +27,7 @@ __all__ = [
     "ConvergenceError", "SymTridiag", "build_even", "build_odd", "solve_radial",
     "bonnet_coeffs", "c0_eigenvalue", "radial_sequence",
     "MonogenicBasis", "PolyMultivector", "basis", "dim_monogenic", "dirac",
-    "Cpswf", "eval_field", "eval_radial", "lambda_of", "make_cpswf", "mu",
+    "Cpswf", "eval_field", "eval_radial", "make_cpswf",
     "apply_Gc", "apply_QPc", "kernel_Kc", "verify",
     "limit_value", "partial_sum", "zonal_trace",
     "__version__",

@@ -5,13 +5,23 @@ Output is CSV (RFC 4180, '.' decimal separator) or JSON (UTF-8 array of
 flat records); all numbers are printed with 17 significant digits so
 repeated runs are byte-identical and values round-trip.
 
-Exit codes: 0 success; 1 verification threshold exceeded; 2 invalid
-arguments; 3 convergence failure.
+Exit codes:
+  0  success
+  1  verify: a check exceeded --threshold (the table is still written)
+  2  invalid input: a bad option value, a non-finite c, --tol or CPSWF_TOL
+     outside (0, 1e-4], a bad CPSWF_NODES, an unwritable --output, or a
+     degree k past the monogenic basis range
+  3  convergence failure of the adaptive truncation
+Errors of exit codes 2 and 3 that the option parser does not catch itself
+are reported on a single stderr line.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import json
+import re
 import sys
 
 import click
@@ -20,7 +30,6 @@ import numpy as np
 from .accumulation import limit_value, partial_sum
 from .galerkin import ConvergenceError, solve_radial
 from .legendre import radial_sequence
-from .monogenics import dim_monogenic
 from .operators import verify as op_verify
 from .prolate import eval_field_coeffs, eval_radial, make_cpswf
 from .special import default_tol
@@ -38,33 +47,26 @@ def _emit(columns, rows, fmt: str, out) -> None:
         for row in rows:
             out.write(",".join(_fmt(v) for v in row) + "\r\n")
     else:
-        parts = []
-        for row in rows:
-            fields = []
-            for c, v in zip(columns, row):
-                if isinstance(v, (float, np.floating)):
-                    fields.append(f'"{c}": {format(float(v), ".17g")}')
-                elif isinstance(v, (int, np.integer)):
-                    fields.append(f'"{c}": {int(v)}')
-                else:
-                    fields.append(f'"{c}": {json.dumps(v)}')
-            parts.append("{" + ", ".join(fields) + "}")
-        out.write("[\n" + ",\n".join(parts) + "\n]\n")
+        def cell(v):
+            return json.dumps(v) if isinstance(v, str) else _fmt(v)
+        records = ["{" + ", ".join(f'"{c}": {cell(v)}' for c, v in zip(columns, row)) + "}"
+                   for row in rows]
+        out.write("[\n" + ",\n".join(records) + "\n]\n")
 
 
-_format_opt = click.option("--format", "fmt", type=click.Choice(["csv", "json"]),
-                           default="csv", show_default=True)
-_output_opt = click.option("--output", type=click.Path(writable=True), default=None,
-                           help="Output path (default stdout).")
+class _Exit(click.ClickException):
+    """An error click prints as one 'Error: ...' line before exiting with `code`."""
+
+    def __init__(self, code: int, message: str):
+        super().__init__(message)
+        self.exit_code = code
 
 
-def _open_out(path):
-    return open(path, "w", newline="") if path else sys.stdout
-
-
-def _validate(cond: bool, msg: str) -> None:
-    if not cond:
-        raise click.UsageError(msg)
+def _bounded_tol(tol: float | None) -> float:
+    tol = default_tol() if tol is None else tol
+    if not 0 < tol <= 1e-4:
+        raise ValueError(f"--tol/CPSWF_TOL must be in (0, 1e-4], got {tol:g}")
+    return tol
 
 
 @click.group()
@@ -72,116 +74,122 @@ def main():
     """Clifford prolate spheroidal wave functions on the unit ball."""
 
 
-@main.command()
-@click.option("--m", type=int, required=True)
-@click.option("--k", type=int, required=True)
+def command(solves: bool = True):
+    """Register a subcommand whose body returns (columns, rows[, ok]).
+
+    The registrar adds --format and --output, plus --tol when the command
+    solves (bounded to (0, 1e-4], CPSWF_TOL included, and passed to the
+    body resolved).  Around the body only, a ValueError from an input check
+    exits 2 and a ConvergenceError exits 3; the table is then written, and
+    a body that returns ok = False exits 1.
+    """
+    def register(body):
+        @functools.wraps(body)
+        def run(fmt, output, **kwargs):
+            try:
+                if solves:
+                    kwargs["tol"] = _bounded_tol(kwargs["tol"])
+                columns, rows, *ok = body(**kwargs)
+            except ConvergenceError as exc:
+                raise _Exit(3, f"convergence failure: {exc}") from None
+            except ValueError as exc:
+                raise _Exit(2, str(exc)) from None
+            try:
+                sink = (open(output, "w", newline="") if output
+                        else contextlib.nullcontext(sys.stdout))
+            except OSError as exc:
+                raise _Exit(2, f"cannot write --output {output}: {exc.strerror}") from None
+            with sink as out:
+                _emit(columns, rows, fmt, out)
+            if ok and not ok[0]:
+                sys.exit(1)
+
+        cmd = main.command()(run)
+        if solves:
+            cmd.params.append(click.Option(["--tol"], type=float, default=None,
+                                           help="Convergence tolerance in (0, 1e-4]."))
+        cmd.params += [
+            click.Option(["--format", "fmt"], type=click.Choice(["csv", "json"]),
+                         default="csv", show_default=True),
+            click.Option(["--output"], type=click.Path(writable=True), default=None,
+                         help="Output path (default stdout)."),
+        ]
+        return cmd
+    return register
+
+
+_M_ANY = click.IntRange(2, 8)
+_M_FIELD = click.IntRange(2, 3)
+_NONNEG = click.IntRange(min=0)
+_GRID = click.IntRange(min=2)
+
+
+@command()
+@click.option("--m", type=_M_ANY, required=True)
+@click.option("--k", type=_NONNEG, required=True)
 @click.option("--c", type=float, required=True)
-@click.option("--count", type=int, required=True, help="Number of orders n = 0..count-1.")
-@click.option("--tol", type=float, default=None)
-@_format_opt
-@_output_opt
-def eigs(m, k, c, count, tol, fmt, output):
+@click.option("--count", type=click.IntRange(min=1), required=True,
+              help="Number of orders n = 0..count-1.")
+def eigs(m, k, c, count, tol):
     """Differential and operator eigenvalues for orders n = 0..count-1.
 
     At c = 0 only chi is meaningful; lambda and |mu| are reported as 0.
     """
-    _validate(2 <= m <= 8, "m must be in [2, 8]")
-    _validate(k >= 0 and count >= 1 and c >= 0, "require k >= 0, count >= 1, c >= 0")
-    tol = default_tol() if tol is None else tol
-    _validate(0 < tol <= 1e-4, "tol must be in (0, 1e-4]")
     rows = []
-    try:
-        for n in range(count):
-            if c == 0:
-                pair = solve_radial("even" if n % 2 == 0 else "odd", k, m, 0.0, n // 2, tol)
-                rows.append([n, k, pair.chi, 0.0, 0.0, (n + k) % 4])
-            else:
-                psi = make_cpswf(n, k, m, c, tol)
-                rows.append([n, k, psi.chi, psi.lam, abs(psi.mu), (n + k) % 4])
-    except ConvergenceError as exc:
-        click.echo(f"convergence failure: {exc}", err=True)
-        sys.exit(3)
-    with _open_out(output) as out:
-        _emit(["n", "k", "chi", "lambda", "abs_mu", "phase_exponent"], rows, fmt, out)
+    for n in range(count):
+        if c == 0:
+            pair = solve_radial("even" if n % 2 == 0 else "odd", k, m, 0.0, n // 2, tol)
+            rows.append([n, k, pair.chi, 0.0, 0.0, (n + k) % 4])
+        else:
+            psi = make_cpswf(n, k, m, c, tol)
+            rows.append([n, k, psi.chi, psi.lam, abs(psi.mu), (n + k) % 4])
+    return ["n", "k", "chi", "lambda", "abs_mu", "phase_exponent"], rows
 
 
-@main.command()
-@click.option("--m", type=int, required=True)
-@click.option("--kmax", type=int, required=True)
-@click.option("--nmax", type=int, required=True)
+@command()
+@click.option("--m", type=_M_ANY, required=True)
+@click.option("--kmax", type=_NONNEG, required=True)
+@click.option("--nmax", type=_NONNEG, required=True)
 @click.option("--c", type=float, required=True)
-@click.option("--tol", type=float, default=None)
-@_format_opt
-@_output_opt
-def spectrum(m, kmax, nmax, c, tol, fmt, output):
+def spectrum(m, kmax, nmax, c, tol):
     """Table of (n, k, chi, lambda, |mu|) sorted by (k, n)."""
-    _validate(2 <= m <= 8, "m must be in [2, 8]")
-    _validate(kmax >= 0 and nmax >= 0 and c > 0, "require kmax, nmax >= 0 and c > 0")
     rows = []
-    try:
-        for k in range(kmax + 1):
-            for n in range(nmax + 1):
-                psi = make_cpswf(n, k, m, c, tol)
-                rows.append([n, k, psi.chi, psi.lam, abs(psi.mu)])
-    except ConvergenceError as exc:
-        click.echo(f"convergence failure: {exc}", err=True)
-        sys.exit(3)
-    with _open_out(output) as out:
-        _emit(["n", "k", "chi", "lambda", "abs_mu"], rows, fmt, out)
+    for k in range(kmax + 1):
+        for n in range(nmax + 1):
+            psi = make_cpswf(n, k, m, c, tol)
+            rows.append([n, k, psi.chi, psi.lam, abs(psi.mu)])
+    return ["n", "k", "chi", "lambda", "abs_mu"], rows
 
 
-@main.command()
-@click.option("--n", type=int, required=True)
-@click.option("--k", type=int, required=True)
-@click.option("--m", type=int, required=True)
+@command()
+@click.option("--n", type=_NONNEG, required=True)
+@click.option("--k", type=_NONNEG, required=True)
+@click.option("--m", type=_M_ANY, required=True)
 @click.option("--c", type=float, required=True)
-@click.option("--grid", type=int, default=100, show_default=True)
-@click.option("--tol", type=float, default=None)
-@_format_opt
-@_output_opt
-def radial(n, k, m, c, grid, tol, fmt, output):
+@click.option("--grid", type=_GRID, default=100, show_default=True)
+def radial(n, k, m, c, grid, tol):
     """Radial part of psi_n^k sampled on an equispaced r-grid in [0, 1]."""
-    _validate(2 <= m <= 8, "m must be in [2, 8]")
-    _validate(n >= 0 and k >= 0 and c > 0 and grid >= 2,
-              "require n, k >= 0, c > 0, grid >= 2")
-    try:
-        psi = make_cpswf(n, k, m, c, tol)
-    except ConvergenceError as exc:
-        click.echo(f"convergence failure: {exc}", err=True)
-        sys.exit(3)
+    psi = make_cpswf(n, k, m, c, tol)
     r = np.linspace(0.0, 1.0, grid)
     vals = eval_radial(psi, r)
-    rows = [[float(ri), float(vi)] for ri, vi in zip(r, vals)]
-    with _open_out(output) as out:
-        _emit(["r", "value"], rows, fmt, out)
+    return ["r", "value"], [[float(ri), float(vi)] for ri, vi in zip(r, vals)]
 
 
-@main.command()
-@click.option("--n", type=int, required=True)
-@click.option("--k", type=int, required=True)
-@click.option("--i", "idx", type=int, default=1, show_default=True,
+@command()
+@click.option("--n", type=_NONNEG, required=True)
+@click.option("--k", type=_NONNEG, required=True)
+@click.option("--i", "idx", type=click.IntRange(min=1), default=1, show_default=True,
               help="Monogenic basis index, 1..d_k.")
-@click.option("--m", type=int, required=True)
+@click.option("--m", type=_M_FIELD, required=True)
 @click.option("--c", type=float, required=True)
-@click.option("--grid", type=int, default=50, show_default=True,
+@click.option("--grid", type=_GRID, default=50, show_default=True,
               help="Points per axis on [-1, 1]^2 (x3 = 0 slice when m = 3).")
-@click.option("--tol", type=float, default=None)
-@_format_opt
-@_output_opt
-def field(n, k, idx, m, c, grid, tol, fmt, output):
+def field(n, k, idx, m, c, grid, tol):
     """Full Clifford-valued field on a planar grid, one column pair per blade.
 
     Points outside the closed unit ball are omitted.
     """
-    _validate(m in (2, 3), "field requires m in {2, 3}")
-    _validate(n >= 0 and k >= 0 and c > 0 and grid >= 2,
-              "require n, k >= 0, c > 0, grid >= 2")
-    _validate(1 <= idx <= dim_monogenic(m, k), "basis index i out of range")
-    try:
-        psi = make_cpswf(n, k, m, c, tol)
-    except ConvergenceError as exc:
-        click.echo(f"convergence failure: {exc}", err=True)
-        sys.exit(3)
+    psi = make_cpswf(n, k, m, c, tol)
     ax = np.linspace(-1.0, 1.0, grid)
     pts = []
     for x1 in ax:
@@ -200,112 +208,72 @@ def field(n, k, idx, m, c, grid, tol, fmt, output):
         for mask in range(1 << m):
             row += [float(v[mask].real), float(v[mask].imag)]
         rows.append(row)
-    with _open_out(output) as out:
-        _emit(cols, rows, fmt, out)
+    return cols, rows
 
 
-def _parse_k_range(text: str):
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        try:
-            lo, hi = int(lo), int(hi)
-        except ValueError:
-            raise click.UsageError("--k must be an integer or a range like 0..2")
-        _validate(0 <= lo <= hi, "--k range must satisfy 0 <= lo <= hi")
-        return list(range(lo, hi + 1))
-    try:
-        k = int(text)
-    except ValueError:
-        raise click.UsageError("--k must be an integer or a range like 0..2")
-    _validate(k >= 0, "--k must be nonnegative")
-    return [k]
+def _k_range(text: str) -> range:
+    match = re.fullmatch(r"(\d+)(?:\.\.(\d+))?", text)
+    ks = range(int(match[1]), int(match[2] or match[1]) + 1) if match else range(0)
+    if not ks:
+        raise ValueError("--k must be an integer k >= 0 or a range lo..hi with 0 <= lo <= hi")
+    return ks
 
 
-@main.command()
-@click.option("--m", type=int, required=True)
+@command()
+@click.option("--m", type=_M_FIELD, required=True)
 @click.option("--c", type=float, required=True)
 @click.option("--k", "kspec", type=str, required=True,
               help="Single k or inclusive range like 0..2.")
-@click.option("--nmax", type=int, required=True)
+@click.option("--nmax", type=_NONNEG, required=True)
 @click.option("--threshold", type=float, default=1e-6, show_default=True,
               help="Pass/fail bound on ratio_spread and residual.")
-@click.option("--tol", type=float, default=None)
-@_format_opt
-@_output_opt
-def verify(m, c, kspec, nmax, threshold, tol, fmt, output):
+def verify(m, c, kspec, nmax, threshold, tol):
     """Verify the operator eigenrelations; exit 1 if any check fails."""
-    _validate(m in (2, 3), "verify requires m in {2, 3}")
-    _validate(c > 0 and nmax >= 0, "require c > 0 and nmax >= 0")
-    ks = _parse_k_range(kspec)
     rows = []
     ok = True
-    try:
-        for k in ks:
-            for n in range(nmax + 1):
-                psi = make_cpswf(n, k, m, c, tol)
-                rep = op_verify(psi)
-                passed = rep.ratio_spread <= threshold and rep.residual <= threshold
-                ok = ok and passed
-                rows.append([n, k, abs(rep.mu_est), rep.lambda_est,
-                             rep.ratio_spread, rep.residual,
-                             "pass" if passed else "fail"])
-    except ConvergenceError as exc:
-        click.echo(f"convergence failure: {exc}", err=True)
-        sys.exit(3)
-    with _open_out(output) as out:
-        _emit(["n", "k", "abs_mu_est", "lambda_est", "ratio_spread",
-               "residual", "status"], rows, fmt, out)
-    if not ok:
-        sys.exit(1)
+    for k in _k_range(kspec):
+        for n in range(nmax + 1):
+            psi = make_cpswf(n, k, m, c, tol)
+            rep = op_verify(psi)
+            passed = rep.ratio_spread <= threshold and rep.residual <= threshold
+            ok = ok and passed
+            rows.append([n, k, abs(rep.mu_est), rep.lambda_est,
+                         rep.ratio_spread, rep.residual,
+                         "pass" if passed else "fail"])
+    return (["n", "k", "abs_mu_est", "lambda_est", "ratio_spread", "residual", "status"],
+            rows, ok)
 
 
-@main.command()
-@click.option("--m", type=int, required=True)
+@command()
+@click.option("--m", type=_M_FIELD, required=True)
 @click.option("--c", type=float, required=True)
-@click.option("--k", "kmax", "--K", type=int, required=True,
+@click.option("--k", "kmax", "--K", type=_NONNEG, required=True,
               help="Maximum monogenic degree K.")
-@click.option("--n", "nmax", "--N", type=int, required=True,
+@click.option("--n", "nmax", "--N", type=_NONNEG, required=True,
               help="Maximum radial order per parity N.")
-@click.option("--points", type=int, default=64, show_default=True)
-@click.option("--tol", type=float, default=None)
-@_format_opt
-@_output_opt
-def accumulate(m, c, kmax, nmax, points, tol, fmt, output):
+@click.option("--points", type=_GRID, default=64, show_default=True)
+def accumulate(m, c, kmax, nmax, points, tol):
     """Spectrum-accumulation partial sum on an r-grid, with the limit column."""
-    _validate(m in (2, 3), "accumulate requires m in {2, 3}")
-    _validate(c > 0 and kmax >= 0 and nmax >= 0 and points >= 2,
-              "require c > 0, K, N >= 0, points >= 2")
     r = np.linspace(0.0, 1.0, points)
-    try:
-        acc = partial_sum(m, c, kmax, nmax, r ** 2, tol)
-    except ConvergenceError as exc:
-        click.echo(f"convergence failure: {exc}", err=True)
-        sys.exit(3)
+    acc = partial_sum(m, c, kmax, nmax, r ** 2, tol)
     lim = limit_value(m, c)
-    rows = [[float(ri), float(gi), lim] for ri, gi in zip(r, acc.values)]
-    with _open_out(output) as out:
-        _emit(["r", "G", "limit"], rows, fmt, out)
+    return ["r", "G", "limit"], [[float(ri), float(gi), lim] for ri, gi in zip(r, acc.values)]
 
 
-@main.command()
-@click.option("--m", type=int, required=True)
-@click.option("--k", type=int, required=True)
-@click.option("--n", "nmax", "--N", type=int, required=True,
+@command(solves=False)
+@click.option("--m", type=_M_ANY, required=True)
+@click.option("--k", type=_NONNEG, required=True)
+@click.option("--n", "nmax", "--N", type=click.IntRange(0, 64), required=True,
               help="Maximum radial order N.")
-@_format_opt
-@_output_opt
-def legendre(m, k, nmax, fmt, output):
+def legendre(m, k, nmax):
     """Monomial coefficients (in t = |x|^2) of the radial parts p_N, q_N."""
-    _validate(2 <= m <= 8, "m must be in [2, 8]")
-    _validate(k >= 0 and 0 <= nmax <= 64, "require k >= 0 and 0 <= N <= 64")
     ps, qs = radial_sequence(k, m, nmax)
     rows = []
     for kind, seq in (("p", ps), ("q", qs)):
         for order, poly in enumerate(seq):
             for power, coeff in enumerate(poly.coeffs):
                 rows.append([kind, order, power, float(coeff)])
-    with _open_out(output) as out:
-        _emit(["kind", "order", "power", "coefficient"], rows, fmt, out)
+    return ["kind", "order", "power", "coefficient"], rows
 
 
 if __name__ == "__main__":

@@ -162,11 +162,13 @@ def solve_radial(parity: str, k: int, m: int, c: float, N: int,
     below tol.  Sign convention: the entry of largest magnitude is made
     positive.  Raises ConvergenceError past the truncation cap.
     """
+    if not math.isfinite(c):
+        raise ValueError(f"c must be finite, got {c}")
     if N < 0 or k < 0 or c < 0:
         raise ValueError("require N >= 0, k >= 0, c >= 0")
     tol = default_tol() if tol is None else tol
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     T = 2 * N + 16 + math.ceil(2 * c)
     chi, vec = _nth_pair(build(parity, k, m, c, T), N)
     while True:

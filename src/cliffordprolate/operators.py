@@ -95,17 +95,6 @@ def transform_matrix(nu: float, c: float, targets: np.ndarray,
     return (s ** (-nu))[:, None] * bes * (rule.weights * r ** (nu + 1))[None, :]
 
 
-def hankel_apply(f, nu: float, c: float, s, rule: QuadratureRule | None = None):
-    """T[f](s) = s^(-nu) int_0^1 r^(nu+1) f(r) J_nu(2 pi c r s) dr."""
-    if nu < 0:
-        raise ValueError("order nu must be nonnegative")
-    rule = _default_rule() if rule is None else rule
-    scalar = np.ndim(s) == 0
-    s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-    out = transform_matrix(nu, c, s_arr, rule) @ np.asarray(f(rule.nodes))
-    return float(out[0]) if scalar else out
-
-
 def _psi_setup(psi: Cpswf):
     nu = psi.k + psi.m / 2 - 1 if psi.parity == "even" else psi.k + psi.m / 2
     phase = 1j ** psi.k if psi.parity == "even" else 1j ** (psi.k + 1)

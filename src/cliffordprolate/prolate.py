@@ -120,19 +120,6 @@ def eval_radial(psi: Cpswf, r) -> np.ndarray:
     return float(vals[0]) if scalar else vals
 
 
-def value_at_zero(psi: Cpswf) -> float:
-    """P(0) (even) or Q(0) (odd): the t-polynomial factor at t = 0."""
-    return psi.value_at_zero
-
-
-def mu(psi: Cpswf) -> complex:
-    return psi.mu
-
-
-def lambda_of(psi: Cpswf) -> float:
-    return psi.lam
-
-
 def eval_field_coeffs(psi: Cpswf, i: int, x: np.ndarray) -> np.ndarray:
     """Raw Clifford coefficients of the field at points of shape (..., m)."""
     m = psi.m

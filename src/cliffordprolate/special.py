@@ -19,14 +19,22 @@ from scipy import special as _sp
 MAX_NODES = 4096
 
 
+def _env(name: str, default: str, kind: type, what: str):
+    text = os.environ.get(name, default)
+    try:
+        return kind(text)
+    except ValueError:
+        raise ValueError(f"{name} must be {what}, got {text!r}") from None
+
+
 def default_tol() -> float:
     """Convergence tolerance, overridable through CPSWF_TOL."""
-    return float(os.environ.get("CPSWF_TOL", "1e-10"))
+    return _env("CPSWF_TOL", "1e-10", float, "a number")
 
 
 def default_nodes() -> int:
     """Base quadrature node count, overridable through CPSWF_NODES."""
-    return int(os.environ.get("CPSWF_NODES", "256"))
+    return _env("CPSWF_NODES", "256", int, "an integer")
 
 
 def bessel_j(nu, x):

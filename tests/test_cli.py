@@ -1,8 +1,10 @@
 """CLI contract: formats, determinism, exit codes."""
 
 import json
+import sys
 
 import numpy as np
+import pytest
 from click.testing import CliRunner
 
 from cliffordprolate.cli import main
@@ -105,11 +107,63 @@ def test_legendre_long_format():
     assert len(lines) == 7
 
 
-def test_invalid_arguments_exit_2():
-    assert run("eigs", "--m", "9", "--k", "0", "--c", "1", "--count", "1").exit_code == 2
-    assert run("radial", "--n", "0", "--k", "0", "--m", "2", "--c", "0").exit_code == 2
-    assert run("verify", "--m", "2", "--c", "1", "--k", "2..0", "--nmax", "0").exit_code == 2
-    assert run("verify", "--m", "2", "--c", "1", "--k", "x", "--nmax", "0").exit_code == 2
+# bad inputs that the command reports on one stderr line: (env, args)
+BAD_INPUTS = {
+    "c-zero": ({}, "radial --n 0 --k 0 --m 2 --c 0"),
+    "k-range-reversed": ({}, "verify --m 2 --c 1 --k 2..0 --nmax 0"),
+    "k-not-integer": ({}, "verify --m 2 --c 1 --k x --nmax 0"),
+    "env-tol-not-number": ({"CPSWF_TOL": "abc"}, "eigs --m 2 --k 0 --c 1 --count 1"),
+    "env-nodes-not-number": ({"CPSWF_NODES": "abc"}, "verify --m 2 --c 1 --k 0 --nmax 0"),
+    "tol-zero": ({}, "radial --n 0 --k 0 --m 2 --c 1 --tol 0"),
+    "tol-negative": ({}, "accumulate --m 2 --c 1 --K 1 --N 1 --tol -1"),
+    "c-inf": ({}, "spectrum --m 2 --kmax 0 --nmax 0 --c inf"),
+    "k-past-basis": ({}, "field --n 0 --k 9 --m 3 --c 1 --grid 3"),
+    "c-nan": ({}, "eigs --m 2 --k 0 --c nan --count 1"),
+    "env-nodes-too-many": ({"CPSWF_NODES": "10000"}, "verify --m 2 --c 1 --k 0 --nmax 0"),
+    "env-tol-too-loose": ({"CPSWF_TOL": "1e-3"}, "spectrum --m 2 --kmax 0 --nmax 0 --c 1"),
+    "tol-too-loose": ({}, "radial --n 0 --k 0 --m 2 --c 1 --tol 1e-3"),
+    "output-missing-dir": ({}, "eigs --m 2 --k 0 --c 1 --count 1 --output {missing}"),
+}
+
+
+@pytest.mark.parametrize("env, args", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
+def test_invalid_arguments_exit_2(tmp_path, env, args):
+    missing = tmp_path / "missing" / "out.csv"
+    res = CliRunner().invoke(main, args.format(missing=missing).split(), env=env)
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("Error: ")
+    assert not missing.parent.exists()
+
+
+@pytest.mark.parametrize("args", [
+    "eigs --m 9 --k 0 --c 1 --count 1",
+    "eigs --m 2 --k -1 --c 1 --count 1",
+    "eigs --m 2 --k 0 --c 1 --count 0",
+    "radial --n 0 --k 0 --m 2 --c 1 --grid 1",
+    "field --n 0 --k 0 --i 0 --m 2 --c 1",
+    "accumulate --m 4 --c 1 --K 1 --N 1",
+    "legendre --m 2 --k 0 --n 65",
+    "spectrum --m 2 --kmax 0 --nmax 0 --c 1 --format xml",
+])
+def test_option_parser_rejects_out_of_range(args):
+    res = run(*args.split())
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert res.stderr.splitlines()[-1].startswith("Error: Invalid value")
+
+
+# every command that solves, with the library entry point it reaches
+SOLVING = [
+    "eigs --m 2 --k 0 --c 1 --count 1",
+    "eigs --m 2 --k 0 --c 0 --count 1",
+    "spectrum --m 2 --kmax 0 --nmax 0 --c 1",
+    "radial --n 0 --k 0 --m 2 --c 1",
+    "field --n 0 --k 0 --m 2 --c 1 --grid 3",
+    "verify --m 2 --c 1 --k 0 --nmax 0",
+    "accumulate --m 2 --c 1 --K 0 --N 0",
+]
 
 
 def test_convergence_failure_exit_3(monkeypatch):
@@ -119,9 +173,19 @@ def test_convergence_failure_exit_3(monkeypatch):
     def boom(*a, **kw):
         raise ConvergenceError("forced")
 
-    monkeypatch.setattr(cli_mod, "make_cpswf", boom)
-    res = run("eigs", "--m", "2", "--k", "0", "--c", "1", "--count", "1")
-    assert res.exit_code == 3
+    for name in ("make_cpswf", "partial_sum", "solve_radial"):
+        monkeypatch.setattr(cli_mod, name, boom)
+    for args in SOLVING:
+        res = run(*args.split())
+        assert res.exit_code == 3, args
+        assert res.stdout == ""
+        assert res.stderr == "Error: convergence failure: forced\n"
+
+
+def test_stdout_stays_open(capsys):
+    main.main(["legendre", "--m", "2", "--k", "0", "--n", "0"], standalone_mode=False)
+    assert not sys.stdout.closed
+    assert capsys.readouterr().out.startswith("kind,order,power,coefficient\r\n")
 
 
 def test_output_file(tmp_path):

@@ -127,6 +127,14 @@ def test_validation_errors():
         solve_radial("even", 0, 2, 1.0, 0, tol=0.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_c_and_tol_are_named(bad):
+    with pytest.raises(ValueError, match="^c must be finite"):
+        solve_radial("even", 0, 2, bad, 0)
+    with pytest.raises(ValueError, match="^tol must be positive and finite"):
+        solve_radial("even", 0, 2, 1.0, 0, tol=bad)
+
+
 def test_truncation_cap_raises():
     # an order this high needs a truncation beyond the hard cap
     with pytest.raises(ConvergenceError):

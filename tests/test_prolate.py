@@ -12,10 +12,7 @@ from cliffordprolate.prolate import (
     eval_field,
     eval_field_coeffs,
     eval_radial,
-    lambda_of,
     make_cpswf,
-    mu,
-    value_at_zero,
 )
 from cliffordprolate.special import gauss_rule_unit_interval
 
@@ -43,7 +40,7 @@ def test_radial_poly_values_match_manual_sum():
 def test_eval_radial_parity_behavior():
     even = make_cpswf(2, 0, 2, 1.0)
     odd = make_cpswf(3, 0, 2, 1.0)
-    assert abs(eval_radial(even, 0.0) - value_at_zero(even)) < 1e-14
+    assert abs(eval_radial(even, 0.0) - even.value_at_zero) < 1e-14
     assert eval_radial(odd, 0.0) == 0.0
     r = np.linspace(0, 1, 5)
     assert np.max(np.abs(eval_radial(odd, r) - r * odd.radial_poly_values(r ** 2))) < 1e-14
@@ -151,8 +148,3 @@ def test_validation_errors():
     with pytest.raises(ValueError):
         eval_field_coeffs(psi, 1, np.array([1.2, 0.0]))
 
-
-def test_mu_lambda_wrappers():
-    psi = make_cpswf(0, 0, 2, 1.0)
-    assert mu(psi) == psi.mu
-    assert lambda_of(psi) == psi.lam

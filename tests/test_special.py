@@ -26,6 +26,18 @@ def test_env_overrides(monkeypatch):
     assert default_nodes() == 64
 
 
+@pytest.mark.parametrize("name, value, read", [
+    ("CPSWF_TOL", "abc", default_tol),
+    ("CPSWF_TOL", "", default_tol),
+    ("CPSWF_NODES", "abc", default_nodes),
+    ("CPSWF_NODES", "1.5", default_nodes),
+])
+def test_env_overrides_reject_non_numbers(monkeypatch, name, value, read):
+    monkeypatch.setenv(name, value)
+    with pytest.raises(ValueError, match=f"^{name} must be .*, got '{value}'$"):
+        read()
+
+
 def test_gauss_rule_polynomial_exactness():
     rule = gauss_rule_unit_interval(8)
     # degree 15 monomial is integrated exactly by 8-point Gauss
