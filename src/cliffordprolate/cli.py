@@ -84,6 +84,7 @@ def command(solves: bool = True):
     a body that returns ok = False exits 1.
     """
     def register(body):
+        # wraps also copies the body's @click.option list (__click_params__)
         @functools.wraps(body)
         def run(fmt, output, **kwargs):
             try:

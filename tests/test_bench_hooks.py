@@ -12,8 +12,6 @@ from pathlib import Path
 
 import pytest
 
-import cliffordprolate.cli  # noqa: F401  (the CLI namespace is patched too)
-
 SPANS_PATH = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
 
