@@ -59,18 +59,6 @@ def product_table(m: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=None)
-def structure_tensor(m: int) -> np.ndarray:
-    """Tensor G with e_a e_b = sum_c G[a, b, c] e_c (one nonzero per a, b)."""
-    n = 1 << m
-    idx, sign = product_table(m)
-    g = np.zeros((n, n, n))
-    aa, bb = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    g[aa, bb, idx] = sign
-    g.setflags(write=False)
-    return g
-
-
-@lru_cache(maxsize=None)
 def grades(m: int) -> np.ndarray:
     """Grade |A| of each blade mask."""
     out = np.array([bin(a).count("1") for a in range(1 << m)])
@@ -91,8 +79,15 @@ def mul_coeffs(m: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Geometric product on raw coefficient arrays of shape (..., 2^m).
 
     Batched over leading axes; broadcasting between u and v is allowed.
+    Left blade a sends v_(a^c) to output blade c, so each term gathers v
+    through the permutation idx[a].
     """
-    return np.einsum("...a,...b,abc->...c", u, v, structure_tensor(m))
+    idx, sign = product_table(m)
+    out = np.zeros(np.broadcast_shapes(np.shape(u), np.shape(v)),
+                   dtype=np.result_type(u, v, float))
+    for a in range(1 << m):
+        out += (u[..., a, None] * sign[a, idx[a]]) * v[..., idx[a]]
+    return out
 
 
 def conj_coeffs(m: int, u: np.ndarray) -> np.ndarray:
@@ -111,7 +106,7 @@ def left_mul_matrix(m: int, g: np.ndarray) -> np.ndarray:
     Under the inner product <.,.> this representation is a *-representation:
     the matrix of conj(g) is the conjugate transpose of the matrix of g.
     """
-    return np.einsum("a,abc->cb", g, structure_tensor(m))
+    return mul_coeffs(m, g, np.eye(1 << m)).T
 
 
 @dataclass(frozen=True)
@@ -170,12 +165,6 @@ class Multivector:
 
     def conjugate(self) -> "Multivector":
         return Multivector(self.m, conj_coeffs(self.m, self.coeffs))
-
-    def grade_project(self, k: int) -> "Multivector":
-        if not 0 <= k <= self.m:
-            raise ValueError(f"grade {k} out of range [0, {self.m}]")
-        keep = grades(self.m) == k
-        return Multivector(self.m, np.where(keep, self.coeffs, 0.0))
 
     def scalar_part(self) -> complex:
         return complex(self.coeffs[0])

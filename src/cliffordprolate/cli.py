@@ -9,8 +9,9 @@ Exit codes:
   0  success
   1  verify: a check exceeded --threshold (the table is still written)
   2  invalid input: a bad option value, a non-finite c, --tol or CPSWF_TOL
-     outside (0, 1e-4], a bad CPSWF_NODES, an unwritable --output, or a
-     degree k past the monogenic basis range
+     outside (0, 1e-4], a CPSWF_NODES outside [128, 4096], a verify
+     --threshold that is not a finite number > 0, an unwritable --output,
+     or a degree k past the monogenic basis range
   3  convergence failure of the adaptive truncation
 Errors of exit codes 2 and 3 that the option parser does not catch itself
 are reported on a single stderr line.
@@ -136,6 +137,8 @@ def eigs(m, k, c, count, tol):
 
     At c = 0 only chi is meaningful; lambda and |mu| are reported as 0.
     """
+    if c < 0:
+        raise ValueError(f"require c >= 0, got {c:g}")
     rows = []
     for n in range(count):
         if c == 0:
@@ -230,6 +233,8 @@ def _k_range(text: str) -> range:
               help="Pass/fail bound on ratio_spread and residual.")
 def verify(m, c, kspec, nmax, threshold, tol):
     """Verify the operator eigenrelations; exit 1 if any check fails."""
+    if not 0 < threshold < np.inf:
+        raise ValueError(f"--threshold must be a finite number > 0, got {threshold:g}")
     rows = []
     ok = True
     for k in _k_range(kspec):

@@ -65,31 +65,54 @@ class RadialPoly:
 
 @dataclass(frozen=True)
 class BonnetCoeffs:
-    A: float
-    B: float
-    A_prime: float
-    B_prime: float
+    A: float | np.ndarray
+    B: float | np.ndarray
+    A_prime: float | np.ndarray
+    B_prime: float | np.ndarray
 
 
-def bonnet_coeffs(N: int, k: int, m: int) -> BonnetCoeffs:
+def bonnet_coeffs(N, k: int, m: int) -> BonnetCoeffs:
     """Coefficients of the Bonnet three-term relations for normalized
     Clifford-Legendre polynomials:
 
         p_N = A_N q_N + B_N q_(N-1)
         -t q_N = A'_N p_(N+1) + B'_N p_N
+
+    N may be an integer or an integer array; the fields take its shape.
     """
-    if N < 0 or k < 0 or m < 2:
+    N = np.asarray(N)
+    if np.any(N < 0) or k < 0 or m < 2:
         raise ValueError("require N >= 0, k >= 0, m >= 2")
     h = m / 2
-    a = -(h + N + k) * math.sqrt(m + 4 * N + 2 * k) / (
-        (h + 2 * N + k) * math.sqrt(m + 4 * N + 2 * k + 2))
-    b = 0.0 if N == 0 else N * math.sqrt(m + 4 * N + 2 * k) / (
-        (h + 2 * N + k) * math.sqrt(m + 4 * N + 2 * k - 2))
-    ap = -(N + 1) * math.sqrt(m + 4 * N + 2 * k + 2) / (
-        (h + 2 * N + k + 1) * math.sqrt(m + 4 * N + 2 * k + 4))
-    bp = (h + N + k) * math.sqrt(m + 4 * N + 2 * k + 2) / (
-        (h + 2 * N + k + 1) * math.sqrt(m + 4 * N + 2 * k))
+    s = m + 4 * N + 2 * k
+    r0, r2 = np.sqrt(s), np.sqrt(s + 2)
+    d = h + 2 * N + k
+    a = -(h + N + k) * r0 / (d * r2)
+    with np.errstate(divide="ignore", invalid="ignore"):  # B_0 is 0/0 at m = 2, k = 0
+        b = np.where(N == 0, 0.0, N * r0 / (d * np.sqrt(s - 2)))
+    ap = -(N + 1) * r2 / ((d + 1) * np.sqrt(s + 4))
+    bp = (h + N + k) * r2 / ((d + 1) * r0)
     return BonnetCoeffs(a, b, ap, bp)
+
+
+def _bonnet_recurrence(k: int, m: int, N_max: int, one: np.ndarray, times_t):
+    """Rows p_0..p_N_max and q_0..q_N_max of the interleaved recurrence.
+
+    `one` is the row of the constant 1 and times_t multiplies a row by t,
+    so the same loop runs on monomial coefficients and on sampled values.
+    """
+    bc = bonnet_coeffs(np.arange(N_max + 1), k, m)
+    # Python floats: a list index is cheaper than a numpy scalar in the loop
+    A, B, Ap, Bp = (c.tolist() for c in (bc.A, bc.B, bc.A_prime, bc.B_prime))
+    pv = np.empty((N_max + 1,) + one.shape)
+    qv = np.empty_like(pv)
+    pv[0] = math.sqrt(2 * k + m) * one
+    for N in range(N_max + 1):
+        prev_q = qv[N - 1] if N > 0 else 0.0
+        qv[N] = (pv[N] - B[N] * prev_q) / A[N]
+        if N < N_max:
+            pv[N + 1] = (times_t(qv[N]) + Bp[N] * pv[N]) / -Ap[N]
+    return pv, qv
 
 
 def radial_sequence(k: int, m: int, N_max: int):
@@ -101,18 +124,12 @@ def radial_sequence(k: int, m: int, N_max: int):
             f"monomial coefficients of radial polynomials are ill-conditioned "
             f"above degree {N_WARN}; prefer value-space evaluation",
             RuntimeWarning, stacklevel=2)
-    ps = [np.array([math.sqrt(2 * k + m)])]
-    qs = []
-    for N in range(N_max + 1):
-        bc = bonnet_coeffs(N, k, m)
-        prev_q = qs[N - 1] if N > 0 else np.zeros(1)
-        q = (P.polysub(ps[N], bc.B * prev_q)) / bc.A
-        qs.append(q)
-        if N < N_max:
-            p_next = P.polysub(-P.polymulx(q), bc.B_prime * ps[N]) / bc.A_prime
-            ps.append(p_next)
-    p_out = [RadialPoly(c, 2 * i, k, m, "even") for i, c in enumerate(ps)]
-    q_out = [RadialPoly(c, 2 * i + 1, k, m, "odd") for i, c in enumerate(qs)]
+    # on ascending coefficients, times t shifts up one degree; q_N_max is
+    # never shifted, so nothing falls off the end
+    ps, qs = _bonnet_recurrence(k, m, N_max, np.eye(N_max + 1)[0],
+                                lambda c: np.concatenate(([0.0], c[:-1])))
+    p_out = [RadialPoly(c[:i + 1], 2 * i, k, m, "even") for i, c in enumerate(ps)]
+    q_out = [RadialPoly(c[:i + 1], 2 * i + 1, k, m, "odd") for i, c in enumerate(qs)]
     return p_out, q_out
 
 
@@ -123,16 +140,7 @@ def radial_values(k: int, m: int, N_max: int, t: np.ndarray):
     conditioned at orders where monomial coefficients overflow cancel.
     """
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    pv = np.empty((N_max + 1, t.size))
-    qv = np.empty((N_max + 1, t.size))
-    pv[0] = math.sqrt(2 * k + m)
-    for N in range(N_max + 1):
-        bc = bonnet_coeffs(N, k, m)
-        prev_q = qv[N - 1] if N > 0 else 0.0
-        qv[N] = (pv[N] - bc.B * prev_q) / bc.A
-        if N < N_max:
-            pv[N + 1] = (-t * qv[N] - bc.B_prime * pv[N]) / bc.A_prime
-    return pv, qv
+    return _bonnet_recurrence(k, m, N_max, np.ones(t.size), lambda v: t * v)
 
 
 def apply_L0_radial(p: RadialPoly, parity: str, k: int, m: int) -> RadialPoly:

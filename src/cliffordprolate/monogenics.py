@@ -27,7 +27,6 @@ from .algebra import (
     conj_coeffs,
     left_mul_matrix,
     mul_coeffs,
-    product_table,
 )
 from .special import QuadratureRule, sphere_rule
 
@@ -174,31 +173,18 @@ class PolyMultivector:
             out += mono[..., None] * c
         return out
 
-    def evaluate(self, x) -> Multivector:
-        return Multivector(self.m, self.evaluate_coeffs(np.asarray(x, dtype=float)))
-
-    def to_json_dict(self) -> dict:
-        """Serialize as {"a1,...,am": {blade-mask: [re, im]}}."""
-        return {
-            ",".join(str(v) for v in a): Multivector(self.m, c).to_json_dict()
-            for a, c in sorted(self.terms.items())
-        }
-
 
 def dirac(p: PolyMultivector) -> PolyMultivector:
     """Left Dirac derivative sum_j e_j d/dx_j, exact on coefficients."""
     m = p.m
     out = PolyMultivector(m)
-    idx, sign = product_table(m)
+    blades = np.eye(1 << m)
     for a, c in p.terms.items():
         for j in range(m):
             if a[j] == 0:
                 continue
             key = tuple(v - (i == j) for i, v in enumerate(a))
-            ej = 1 << j
-            contrib = np.zeros(1 << m, dtype=complex)
-            contrib[idx[ej]] = sign[ej] * c
-            out._accumulate(key, a[j] * contrib)
+            out._accumulate(key, a[j] * mul_coeffs(m, blades[1 << j], c))
     out._drop_zeros()
     return out
 

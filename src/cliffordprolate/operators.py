@@ -66,7 +66,7 @@ class VerificationReport:
 
 
 def _default_rule() -> QuadratureRule:
-    return gauss_rule_unit_interval(max(default_nodes(), 128))
+    return gauss_rule_unit_interval(default_nodes())
 
 
 def kernel_Kc(x, c: float, m: int) -> float:

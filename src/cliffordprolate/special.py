@@ -16,6 +16,7 @@ from functools import lru_cache
 import numpy as np
 from scipy import special as _sp
 
+MIN_NODES = 128
 MAX_NODES = 4096
 
 
@@ -34,7 +35,10 @@ def default_tol() -> float:
 
 def default_nodes() -> int:
     """Base quadrature node count, overridable through CPSWF_NODES."""
-    return _env("CPSWF_NODES", "256", int, "an integer")
+    n = _env("CPSWF_NODES", "256", int, "an integer")
+    if not MIN_NODES <= n <= MAX_NODES:
+        raise ValueError(f"CPSWF_NODES must be in [{MIN_NODES}, {MAX_NODES}], got {n}")
+    return n
 
 
 def bessel_j(nu, x):

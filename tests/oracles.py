@@ -8,6 +8,7 @@ closed forms.  Slow but trustworthy.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import jv
@@ -106,3 +107,47 @@ def brute_hankel(f, nu: float, c: float, s: float, n_nodes: int = 600) -> float:
     r = rule.nodes
     val = np.dot(rule.weights, r ** (nu + 1) * f(r) * jv(nu, 2 * math.pi * c * r * s))
     return float(s ** (-nu) * val)
+
+
+def sorted_blade_sign(a: int, b: int) -> int:
+    """Sign of e_a e_b in C_m (e_j^2 = -1), found by sorting generator lists.
+
+    The concatenated index list of a then b is stably sorted; the sign is
+    the parity of that permutation times -1 for each equal adjacent pair
+    left after sorting (each is one e_j e_j = -1).
+    """
+    gens = [j for j in range(a.bit_length()) if a >> j & 1]
+    gens += [j for j in range(b.bit_length()) if b >> j & 1]
+    order = sorted(range(len(gens)), key=gens.__getitem__)
+    flips, seen = 0, [False] * len(order)
+    for start in range(len(order)):
+        p, length = start, 0
+        while not seen[p]:
+            seen[p] = True
+            p = order[p]
+            length += 1
+        flips += max(length - 1, 0)
+    ordered = [gens[p] for p in order]
+    flips += sum(x == y for x, y in zip(ordered, ordered[1:]))
+    return -1 if flips & 1 else 1
+
+
+@lru_cache(maxsize=None)
+def sorted_sign_table(m: int) -> np.ndarray:
+    n = 1 << m
+    return np.array([[sorted_blade_sign(a, b) for b in range(n)] for a in range(n)])
+
+
+def clifford_mul(m: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Geometric product of coefficient arrays (..., 2^m) from sorted signs.
+
+    Forms every blade-pair term u_a v_b sign(a, b), then sums, for each
+    output blade c, the terms with a XOR b = c.
+    """
+    n = 1 << m
+    terms = u[..., :, None] * v[..., None, :] * sorted_sign_table(m)
+    target = np.arange(n)[:, None] ^ np.arange(n)[None, :]
+    out = np.zeros(terms.shape[:-2] + (n,), dtype=terms.dtype)
+    for c in range(n):
+        out[..., c] = terms[..., target == c].sum(axis=-1)
+    return out

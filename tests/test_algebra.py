@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from oracles import clifford_mul
 
 from cliffordprolate.algebra import (
     Multivector,
@@ -103,6 +104,29 @@ def test_left_mul_matrix_consistent():
     direct = mul_coeffs(m, g, u)
     via_mat = left_mul_matrix(m, g) @ u
     assert np.allclose(direct, via_mat, atol=1e-13)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 8])
+@pytest.mark.parametrize("u_shape, v_shape", [
+    ((), ()), ((3,), ()), ((), (3,)), ((3,), (3,)),
+], ids=["one-one", "batch-one", "one-batch", "batch-batch"])
+def test_mul_coeffs_against_sorted_sign_oracle(m, u_shape, v_shape):
+    rng = np.random.default_rng(17)
+    n = 2 ** m
+    u = rng.standard_normal(u_shape + (n,)) + 1j * rng.standard_normal(u_shape + (n,))
+    v = rng.standard_normal(v_shape + (n,)) + 1j * rng.standard_normal(v_shape + (n,))
+    got = mul_coeffs(m, u, v)
+    want = clifford_mul(m, u, v)
+    assert got.shape == want.shape
+    assert np.allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_left_mul_matrix_matches_mul_coeffs_m8():
+    m = 8
+    rng = np.random.default_rng(18)
+    g = rng.standard_normal(2 ** m) + 1j * rng.standard_normal(2 ** m)
+    u = rng.standard_normal(2 ** m) + 1j * rng.standard_normal(2 ** m)
+    assert np.allclose(left_mul_matrix(m, g) @ u, mul_coeffs(m, g, u), rtol=0, atol=1e-12)
 
 
 def test_embed_coeffs_batched():

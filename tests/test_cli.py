@@ -123,18 +123,49 @@ BAD_INPUTS = {
     "env-tol-too-loose": ({"CPSWF_TOL": "1e-3"}, "spectrum --m 2 --kmax 0 --nmax 0 --c 1"),
     "tol-too-loose": ({}, "radial --n 0 --k 0 --m 2 --c 1 --tol 1e-3"),
     "output-missing-dir": ({}, "eigs --m 2 --k 0 --c 1 --count 1 --output {missing}"),
+    "env-nodes-zero": ({"CPSWF_NODES": "0"}, "verify --m 2 --c 1 --k 0 --nmax 0"),
+    "env-nodes-five": ({"CPSWF_NODES": "5"}, "verify --m 2 --c 1 --k 0 --nmax 0"),
+    "env-nodes-127": ({"CPSWF_NODES": "127"}, "verify --m 2 --c 1 --k 0 --nmax 0"),
+    "eigs-c-negative": ({}, "eigs --m 2 --k 0 --c -1 --count 1"),
+    "threshold-nan": ({}, "verify --m 2 --c 1 --k 0 --nmax 0 --threshold nan"),
+    "threshold-negative": ({}, "verify --m 2 --c 1 --k 0 --nmax 0 --threshold -1"),
+    "threshold-zero": ({}, "verify --m 2 --c 1 --k 0 --nmax 0 --threshold 0"),
+    "threshold-inf": ({}, "verify --m 2 --c 1 --k 0 --nmax 0 --threshold inf"),
+}
+
+# the text the Error line must carry, where it names a bound
+ERROR_TEXT = {
+    "c-zero": "require c > 0",
+    "env-nodes-too-many": "CPSWF_NODES must be in [128, 4096], got 10000",
+    "env-nodes-zero": "CPSWF_NODES must be in [128, 4096], got 0",
+    "env-nodes-five": "CPSWF_NODES must be in [128, 4096], got 5",
+    "env-nodes-127": "CPSWF_NODES must be in [128, 4096], got 127",
+    "eigs-c-negative": "require c >= 0",
+    "threshold-nan": "--threshold must be a finite number > 0, got nan",
+    "threshold-negative": "--threshold must be a finite number > 0, got -1",
+    "threshold-zero": "--threshold must be a finite number > 0, got 0",
+    "threshold-inf": "--threshold must be a finite number > 0, got inf",
 }
 
 
-@pytest.mark.parametrize("env, args", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
-def test_invalid_arguments_exit_2(tmp_path, env, args):
+@pytest.mark.parametrize("case", BAD_INPUTS)
+def test_invalid_arguments_exit_2(tmp_path, case):
+    env, args = BAD_INPUTS[case]
     missing = tmp_path / "missing" / "out.csv"
     res = CliRunner().invoke(main, args.format(missing=missing).split(), env=env)
     assert res.exit_code == 2
     assert res.stdout == ""
     lines = res.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("Error: ")
+    assert ERROR_TEXT.get(case, "") in lines[0]
     assert not missing.parent.exists()
+
+
+def test_nodes_floor_is_accepted():
+    res = CliRunner().invoke(main, "verify --m 2 --c 1 --k 0 --nmax 0".split(),
+                             env={"CPSWF_NODES": "128"})
+    assert res.exit_code == 0
+    assert res.stdout.splitlines()[1].endswith(",pass")
 
 
 @pytest.mark.parametrize("args", [

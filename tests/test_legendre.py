@@ -1,9 +1,11 @@
 """Clifford-Legendre radial polynomials: recurrence, orthonormality, operator."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.special import eval_legendre
 
 from cliffordprolate.legendre import (
     apply_L0_radial,
@@ -98,6 +100,33 @@ def test_radial_values_match_coefficients(m, k):
     for N in range(6):
         assert np.max(np.abs(pv[N] - ps[N](t))) < 1e-9
         assert np.max(np.abs(qv[N] - qs[N](t))) < 1e-9
+
+
+def test_radial_sequence_matches_shifted_legendre():
+    # m = 2, k = 0: p_N(t) = sqrt(2(2N+1)) P_N(1-2t), whose monomial
+    # coefficients are sqrt(2(2N+1)) (-1)^j C(N,j) C(N+j,j)
+    ps, _ = radial_sequence(0, 2, 8)
+    t = np.linspace(0.0, 1.0, 33)
+    for N, p in enumerate(ps):
+        scale = math.sqrt(2 * (2 * N + 1))
+        exact = scale * np.array([(-1) ** j * math.comb(N, j) * math.comb(N + j, j)
+                                  for j in range(N + 1)])
+        assert p.coeffs.shape == exact.shape
+        assert np.max(np.abs(p.coeffs - exact)) < 1e-14 * np.max(np.abs(exact))
+        assert np.max(np.abs(p(t) - scale * eval_legendre(N, 1 - 2 * t))) < 1e-10
+
+
+def test_bonnet_coeffs_take_an_array():
+    # at m = 2, k = 0 the B_0 formula is 0/0: the array path must give 0, silently
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cf = bonnet_coeffs(np.arange(6), 0, 2)
+    assert cf.A.shape == cf.B.shape == (6,)
+    assert cf.B[0] == 0 and np.all(cf.B[1:] > 0)
+    for N in range(6):
+        one = bonnet_coeffs(N, 0, 2)
+        assert (one.A, one.B, one.A_prime, one.B_prime) == (
+            cf.A[N], cf.B[N], cf.A_prime[N], cf.B_prime[N])
 
 
 def test_bonnet_first_step():

@@ -21,9 +21,9 @@ from cliffordprolate.special import (
 
 def test_env_overrides(monkeypatch):
     monkeypatch.setenv("CPSWF_TOL", "1e-8")
-    monkeypatch.setenv("CPSWF_NODES", "64")
+    monkeypatch.setenv("CPSWF_NODES", "512")
     assert default_tol() == 1e-8
-    assert default_nodes() == 64
+    assert default_nodes() == 512
 
 
 @pytest.mark.parametrize("name, value, read", [
