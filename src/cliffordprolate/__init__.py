@@ -13,10 +13,11 @@ Library layout:
 """
 
 from .algebra import Multivector, blade_product, embed
-from .galerkin import ConvergenceError, SymTridiag, build_even, build_odd, solve_radial
+from .galerkin import (ConvergenceError, SymTridiag, build_even, build_odd, solve_block,
+                       solve_radial)
 from .legendre import bonnet_coeffs, c0_eigenvalue, radial_sequence
 from .monogenics import MonogenicBasis, PolyMultivector, basis, dim_monogenic, dirac
-from .prolate import Cpswf, eval_field, eval_radial, make_cpswf
+from .prolate import Cpswf, cpswf_blocks, eval_field, eval_radial, make_cpswf
 from .operators import apply_Gc, apply_QPc, kernel_Kc, verify
 from .accumulation import limit_value, partial_sum, zonal_trace
 
@@ -24,10 +25,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Multivector", "blade_product", "embed",
-    "ConvergenceError", "SymTridiag", "build_even", "build_odd", "solve_radial",
+    "ConvergenceError", "SymTridiag", "build_even", "build_odd", "solve_block",
+    "solve_radial",
     "bonnet_coeffs", "c0_eigenvalue", "radial_sequence",
     "MonogenicBasis", "PolyMultivector", "basis", "dim_monogenic", "dirac",
-    "Cpswf", "eval_field", "eval_radial", "make_cpswf",
+    "Cpswf", "cpswf_blocks", "eval_field", "eval_radial", "make_cpswf",
     "apply_Gc", "apply_QPc", "kernel_Kc", "verify",
     "limit_value", "partial_sum", "zonal_trace",
     "__version__",

@@ -9,12 +9,17 @@ differential eigenvalues chi.
 
 The two families satisfy M^o_k = M^e_(k+1) + (4k+2m) I, hence
 chi_(2N+1)^k = chi_(2N)^(k+1) + 4k + 2m and beta^k_N = alpha^(k+1)_N.
+
+solve_block is the one solver: it converges every order 0..N_max of one
+(parity, k) together, with one adaptive truncation and one eigensolve of
+the N_max + 1 lowest eigenpairs per size.  An odd block is the even block
+of degree k + 1, shifted (as_odd), and solve_radial is one order of a block.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -22,6 +27,7 @@ from scipy.linalg import eigh_tridiagonal
 from .special import default_tol
 
 T_CAP = 4096
+_BISECT_TOL = 2 * np.finfo(float).tiny  # LAPACK stebz's most accurate ABSTOL
 
 
 class ConvergenceError(RuntimeError):
@@ -66,7 +72,7 @@ class RadialEigenpair:
     convergence: float
 
     def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=float)
+        c = np.array(self.coeffs, dtype=float)  # contiguous, not a view into a block
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
 
@@ -136,12 +142,6 @@ def eig_sym_tridiag(mat: SymTridiag):
     return [(float(vals[j]), vecs[:, j]) for j in range(vals.size)]
 
 
-def _nth_pair(mat: SymTridiag, N: int):
-    vals, vecs = eigh_tridiagonal(mat.diag, mat.offdiag,
-                                  select="i", select_range=(N, N))
-    return float(vals[0]), vecs[:, 0]
-
-
 def smallc_curvature(parity: str, k: int, m: int, N: int) -> float:
     """First-order coefficient b with chi(c) = chi(0) + 4 pi^2 c^2 b + O(c^4).
 
@@ -153,40 +153,72 @@ def smallc_curvature(parity: str, k: int, m: int, N: int) -> float:
     return float((one.diag[N] - zero.diag[N]) / (4 * math.pi ** 2))
 
 
-def solve_radial(parity: str, k: int, m: int, c: float, N: int,
-                 tol: float | None = None) -> RadialEigenpair:
-    """Converged N-th ascending eigenpair of the truncated Galerkin matrix.
+def solve_block(parity: str, k: int, m: int, c: float, N_max: int,
+                tol: float | None = None) -> tuple[RadialEigenpair, ...]:
+    """Converged eigenpairs of orders N = 0..N_max from one adaptive truncation.
 
-    Doubles the truncation from T0 = 2N + 16 + ceil(2c) until both the
-    eigenvalue is stable to tol relative and the trailing coefficient is
-    below tol.  Sign convention: the entry of largest magnitude is made
-    positive.  Raises ConvergenceError past the truncation cap.
+    Doubles the truncation from T0 = 2 N_max + 16 + ceil(2c); each size
+    takes one eigensolve of the N_max + 1 lowest eigenpairs.  It stops when,
+    for every order of the block, the eigenvalue is stable to tol relative
+    and the trailing coefficient is below tol.  Sign convention: the entry
+    of largest magnitude of each eigenvector is made positive.  An odd block
+    is the even block of degree k + 1 with chi shifted by 4k + 2m (see
+    as_odd).  Raises ConvergenceError when the truncation would pass the
+    cap, before any eigensolve if the first doubling already does.
     """
     if not math.isfinite(c):
         raise ValueError(f"c must be finite, got {c}")
-    if N < 0 or k < 0 or c < 0:
+    if N_max < 0 or k < 0 or c < 0:
         raise ValueError("require N >= 0, k >= 0, c >= 0")
+    if parity not in ("even", "odd"):
+        raise ValueError("parity must be 'even' or 'odd'")
     tol = default_tol() if tol is None else tol
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be positive and finite, got {tol}")
-    T = 2 * N + 16 + math.ceil(2 * c)
-    chi, vec = _nth_pair(build(parity, k, m, c, T), N)
-    while True:
-        T2 = 2 * T
-        if T2 > T_CAP:
-            raise ConvergenceError(
-                f"truncation exceeded {T_CAP} for (parity={parity}, k={k}, "
-                f"m={m}, c={c}, N={N})")
-        mat2 = build(parity, k, m, c, T2)
-        chi2, vec2 = _nth_pair(mat2, N)
-        drift = abs(chi2 - chi)
-        # the achievable eigenvalue stability is limited by solver noise
-        # of order eps * ||M||, which grows with the truncation
-        floor = 8 * np.finfo(float).eps * (
-            np.max(np.abs(mat2.diag)) + 2 * np.max(np.abs(mat2.offdiag), initial=0.0))
-        if drift <= tol * (1 + abs(chi2)) + floor and abs(vec2[-1]) <= tol:
-            imax = int(np.argmax(np.abs(vec2)))
-            if vec2[imax] < 0:
-                vec2 = -vec2
-            return RadialEigenpair(chi2, vec2, T2, drift)
-        T, chi, vec = T2, chi2, vec2
+    sizes = [2 * N_max + 16 + math.ceil(2 * c)]
+    while 2 * sizes[-1] <= T_CAP:
+        sizes.append(2 * sizes[-1])
+    failure = ConvergenceError(f"truncation exceeded {T_CAP} for (parity={parity}, "
+                               f"k={k}, m={m}, c={c}, N={N_max})")
+    if len(sizes) < 2:  # converging takes two sizes; fail before solving either
+        raise failure
+    kk = k + 1 if parity == "odd" else k
+    chi = None
+    for T in sizes:
+        mat = build("even", kk, m, c, T)
+        # bisection down to the underflow threshold resolves each chi to a
+        # few ulps of itself instead of eps * ||M||, so a converged chi no
+        # longer moves with the truncation
+        chi2, vecs = eigh_tridiagonal(mat.diag, mat.offdiag, select="i",
+                                      select_range=(0, N_max), tol=_BISECT_TOL)
+        if chi is not None:
+            drift = np.abs(chi2 - chi)
+            # the achievable eigenvalue stability is limited by solver noise
+            # of order eps * ||M||, which grows with the truncation
+            floor = 8 * np.finfo(float).eps * (
+                np.max(np.abs(mat.diag)) + 2 * np.max(np.abs(mat.offdiag), initial=0.0))
+            if (np.all(drift <= tol * (1 + np.abs(chi2)) + floor)
+                    and np.all(np.abs(vecs[-1]) <= tol)):
+                cols = np.arange(N_max + 1)
+                vecs = vecs * np.sign(vecs[np.argmax(np.abs(vecs), axis=0), cols])
+                block = tuple(RadialEigenpair(float(chi2[j]), vecs[:, j], T, float(drift[j]))
+                              for j in cols)
+                return as_odd(block, k, m) if parity == "odd" else block
+        chi = chi2
+    raise failure
+
+
+def as_odd(even_next: tuple[RadialEigenpair, ...], k: int, m: int):
+    """The odd block of degree k from the even block of degree k + 1.
+
+    M^o_k = M^e_(k+1) + (4k+2m) I, so beta^k_N = alpha^(k+1)_N and chi moves
+    by 4k + 2m.  Converging the unshifted matrix is the stricter test: its
+    relative drift bound and its noise floor are both smaller.
+    """
+    return tuple(replace(p, chi=p.chi + (4 * k + 2 * m)) for p in even_next)
+
+
+def solve_radial(parity: str, k: int, m: int, c: float, N: int,
+                tol: float | None = None) -> RadialEigenpair:
+    """Converged N-th ascending eigenpair: order N of the block 0..N."""
+    return solve_block(parity, k, m, c, N, tol)[N]

@@ -95,8 +95,8 @@ def bonnet_coeffs(N, k: int, m: int) -> BonnetCoeffs:
     return BonnetCoeffs(a, b, ap, bp)
 
 
-def _bonnet_recurrence(k: int, m: int, N_max: int, one: np.ndarray, times_t):
-    """Rows p_0..p_N_max and q_0..q_N_max of the interleaved recurrence.
+def _bonnet_rows(k: int, m: int, N_max: int, one: np.ndarray, times_t):
+    """Yield the rows (p_N, q_N), N = 0..N_max, of the interleaved recurrence.
 
     `one` is the row of the constant 1 and times_t multiplies a row by t,
     so the same loop runs on monomial coefficients and on sampled values.
@@ -104,15 +104,12 @@ def _bonnet_recurrence(k: int, m: int, N_max: int, one: np.ndarray, times_t):
     bc = bonnet_coeffs(np.arange(N_max + 1), k, m)
     # Python floats: a list index is cheaper than a numpy scalar in the loop
     A, B, Ap, Bp = (c.tolist() for c in (bc.A, bc.B, bc.A_prime, bc.B_prime))
-    pv = np.empty((N_max + 1,) + one.shape)
-    qv = np.empty_like(pv)
-    pv[0] = math.sqrt(2 * k + m) * one
+    p, q = math.sqrt(2 * k + m) * one, 0.0
     for N in range(N_max + 1):
-        prev_q = qv[N - 1] if N > 0 else 0.0
-        qv[N] = (pv[N] - B[N] * prev_q) / A[N]
+        q = (p - B[N] * q) / A[N]
+        yield p, q
         if N < N_max:
-            pv[N + 1] = (times_t(qv[N]) + Bp[N] * pv[N]) / -Ap[N]
-    return pv, qv
+            p = (times_t(q) + Bp[N] * p) / -Ap[N]
 
 
 def radial_sequence(k: int, m: int, N_max: int):
@@ -126,21 +123,40 @@ def radial_sequence(k: int, m: int, N_max: int):
             RuntimeWarning, stacklevel=2)
     # on ascending coefficients, times t shifts up one degree; q_N_max is
     # never shifted, so nothing falls off the end
-    ps, qs = _bonnet_recurrence(k, m, N_max, np.eye(N_max + 1)[0],
-                                lambda c: np.concatenate(([0.0], c[:-1])))
-    p_out = [RadialPoly(c[:i + 1], 2 * i, k, m, "even") for i, c in enumerate(ps)]
-    q_out = [RadialPoly(c[:i + 1], 2 * i + 1, k, m, "odd") for i, c in enumerate(qs)]
+    rows = _bonnet_rows(k, m, N_max, np.eye(N_max + 1)[0],
+                        lambda c: np.concatenate(([0.0], c[:-1])))
+    p_out, q_out = [], []
+    for i, (p, q) in enumerate(rows):
+        p_out.append(RadialPoly(p[:i + 1], 2 * i, k, m, "even"))
+        q_out.append(RadialPoly(q[:i + 1], 2 * i + 1, k, m, "odd"))
     return p_out, q_out
 
 
-def radial_values(k: int, m: int, N_max: int, t: np.ndarray):
-    """Values p_N(t), q_N(t) for N = 0..N_max as arrays (N_max+1, len(t)).
+def radial_values(k: int, m: int, N_max: int, t):
+    """Values p_N(t), q_N(t) for N = 0..N_max, each of shape (N_max+1,) + t.shape.
 
     Runs the Bonnet recurrence in value space, which stays well
     conditioned at orders where monomial coefficients overflow cancel.
     """
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    return _bonnet_recurrence(k, m, N_max, np.ones(t.size), lambda v: t * v)
+    t = np.asarray(t, dtype=float)
+    pv, qv = zip(*_bonnet_rows(k, m, N_max, np.ones(t.shape), lambda v: t * v))
+    return np.array(pv), np.array(qv)
+
+
+def radial_series(k: int, m: int, parity: str, coeffs, t) -> np.ndarray:
+    """sum_i coeffs[i] p_i(t) (even) or q_i(t) (odd), of shape t.shape.
+
+    The same value-space recurrence as radial_values, summed as it runs:
+    no (len(coeffs),) + t.shape table is stored, which on many points
+    costs more than the recurrence itself.
+    """
+    t = np.asarray(t, dtype=float)
+    j = ("even", "odd").index(parity)
+    out = np.zeros(t.shape)
+    rows = _bonnet_rows(k, m, len(coeffs) - 1, np.ones(t.shape), lambda v: t * v)
+    for c, row in zip(coeffs, rows):
+        out += c * row[j]
+    return out
 
 
 def apply_L0_radial(p: RadialPoly, parity: str, k: int, m: int) -> RadialPoly:

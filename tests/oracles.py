@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
+import mpmath as mp
 import numpy as np
 from scipy.special import jv
 
@@ -151,3 +152,81 @@ def clifford_mul(m: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     for c in range(n):
         out[..., c] = terms[..., target == c].sum(axis=-1)
     return out
+
+
+def galerkin_entries_mp(parity: str, k: int, m: int, c: float, T: int):
+    """Diagonal and off-diagonal of M^e_k or M^o_k as mpf lists at the
+    working precision, each parity from its own entry formulas (the odd
+    one not through the shift identity)."""
+    h = mp.mpf(m) / 2
+    w = 4 * mp.pi ** 2 * mp.mpf(c) ** 2
+    diag, off = [], []
+    for i in range(T):
+        if parity == "even":
+            sub = i ** 2 / (k + 2 * i + h - 1) if i > 0 else 0
+            diag.append(4 * i * (k + i + h) + w / (k + 2 * i + h)
+                        * ((k + i + h) ** 2 / (k + 2 * i + h + 1) + sub))
+            off.append(-w * (i + 1) * (k + i + h) / (
+                (k + 2 * i + h + 1) * mp.sqrt((k + 2 * i + h + 2) * (k + 2 * i + h))))
+        else:
+            diag.append(4 * (i + 1) * (k + i + h) + w / (k + 2 * i + h + 1)
+                        * ((k + i + h) ** 2 / (k + 2 * i + h) + (i + 1) ** 2 / (k + 2 * i + h + 2)))
+            off.append(-w * (i + 1) * (k + i + h + 1) / (
+                (k + 2 * i + h + 2) * mp.sqrt((k + 2 * i + h + 3) * (k + 2 * i + h + 1))))
+    return diag, off[:-1]
+
+
+def radial_at_zero_mp(parity: str, k: int, m: int, T: int) -> list:
+    """p_i(0) or q_i(0), i < T, in closed form: the radial parts are
+    normalized Jacobi polynomials in 1 - 2t, so
+    p_i(0) = sqrt(4i+2k+m) C(i+k+m/2-1, i) and
+    q_i(0) = -sqrt(4i+2k+m+2) C(i+k+m/2, i)."""
+    h = mp.mpf(m) / 2
+    if parity == "even":
+        return [mp.sqrt(4 * i + 2 * k + m) * mp.binomial(i + k + h - 1, i) for i in range(T)]
+    return [-mp.sqrt(4 * i + 2 * k + m + 2) * mp.binomial(i + k + h, i) for i in range(T)]
+
+
+def _lambda(parity: str, k: int, m: int, c, coeffs, at_zero):
+    """lambda = c^m |mu|^2 from the closed form of |mu| in the leading
+    coefficient and the radial value at zero, summed over every term."""
+    h = mp.mpf(m) / 2
+    p0 = mp.fsum(mp.mpf(a) * z for a, z in zip(coeffs, at_zero))
+    if parity == "even":
+        mu = mp.sqrt(2 * k + m) * mp.pi ** (k + h) * c ** k / mp.gamma(k + h + 1)
+    else:
+        mu = mp.sqrt(2 * k + m + 2) * mp.pi ** (k + h + 1) * c ** (k + 1) / mp.gamma(k + h + 2)
+    return c ** m * (mu * coeffs[0] / p0) ** 2
+
+
+def lambda_mp(n: int, k: int, m: int, c: float, T: int = 40, dps: int = 30) -> float:
+    """Concentration eigenvalue of psi_n^k from a dps-digit dense eigensolve
+    of the size-T Galerkin matrix (mpmath), independent of LAPACK."""
+    parity = "even" if n % 2 == 0 else "odd"
+    with mp.workdps(dps):
+        diag, off = galerkin_entries_mp(parity, k, m, c, T)
+        A = mp.diag(diag)
+        for i, e in enumerate(off):
+            A[i, i + 1] = A[i + 1, i] = e
+        E, Q = mp.eigsy(A)
+        j = sorted(range(T), key=lambda i: E[i])[n // 2]
+        coeffs = [Q[i, j] for i in range(T)]
+        return float(_lambda(parity, k, m, mp.mpf(c), coeffs,
+                             radial_at_zero_mp(parity, k, m, T)))
+
+
+def dense_order(n: int, k: int, m: int, c: float, T: int):
+    """(chi, coeffs, lambda) of psi_n^k alone from a dense numpy eigensolve of
+    the size-T Galerkin matrix, with entries rounded from 30 digits and the
+    largest coefficient made positive."""
+    parity = "even" if n % 2 == 0 else "odd"
+    with mp.workdps(30):
+        diag, off = galerkin_entries_mp(parity, k, m, c, T)
+        at_zero = radial_at_zero_mp(parity, k, m, T)
+    A = dense_tridiag(np.array(diag, dtype=float), np.array(off, dtype=float))
+    vals, vecs = np.linalg.eigh(A)
+    v = vecs[:, n // 2]
+    v = v * np.sign(v[np.argmax(np.abs(v))])
+    with mp.workdps(30):
+        lam = float(_lambda(parity, k, m, mp.mpf(c), v, at_zero))
+    return float(vals[n // 2]), v, lam

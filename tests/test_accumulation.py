@@ -56,3 +56,32 @@ def test_validation():
         partial_sum(2, 0.0, 1, 1, [0.5])
     with pytest.raises(ValueError):
         partial_sum(2, 1.0, 1, 1, [1.5])
+
+
+def test_partial_sum_stays_below_its_limit():
+    # every term is nonnegative; a lambda biased high by a truncated
+    # value at zero pushed this sum 1.2e-10 past its limit
+    acc = partial_sum(3, 4.0, 30, 30, np.linspace(0, 1, 33))
+    assert np.all(acc.values <= limit_value(3, 4.0) * (1 + 1e-13))
+
+
+def test_partial_sum_solves_blocks(monkeypatch):
+    # K + 2 even block solves of a few eigensolves each, and one value
+    # table per degree; one order at a time took 3,844 of each
+    import cliffordprolate.galerkin as galerkin
+    import cliffordprolate.prolate as prolate
+
+    calls = {"eig": 0, "table": 0}
+
+    def counted(name, fn):
+        def wrapper(*a, **kw):
+            calls[name] += 1
+            return fn(*a, **kw)
+        return wrapper
+
+    monkeypatch.setattr(galerkin, "eigh_tridiagonal", counted("eig", galerkin.eigh_tridiagonal))
+    monkeypatch.setattr(prolate, "radial_values", counted("table", prolate.radial_values))
+    K = 30
+    partial_sum(3, 4.0, K, 30, np.linspace(0, 1, 33))
+    assert calls["eig"] <= 4 * (K + 2)
+    assert calls["table"] == K + 1

@@ -204,7 +204,7 @@ def test_convergence_failure_exit_3(monkeypatch):
     def boom(*a, **kw):
         raise ConvergenceError("forced")
 
-    for name in ("make_cpswf", "partial_sum", "solve_radial"):
+    for name in ("make_cpswf", "partial_sum", "solve_radial", "cpswf_blocks", "solve_block"):
         monkeypatch.setattr(cli_mod, name, boom)
     for args in SOLVING:
         res = run(*args.split())

@@ -12,12 +12,14 @@ from cliffordprolate.galerkin import (
     build_even,
     build_odd,
     eig_sym_tridiag,
+    as_odd,
     smallc_curvature,
+    solve_block,
     solve_radial,
 )
 from cliffordprolate.legendre import c0_eigenvalue
 
-from oracles import dense_tridiag, jacobi_eigenvalues
+from oracles import dense_order, dense_tridiag, jacobi_eigenvalues
 
 
 def test_even_entries_scalar_recompute():
@@ -139,3 +141,53 @@ def test_truncation_cap_raises():
     # an order this high needs a truncation beyond the hard cap
     with pytest.raises(ConvergenceError):
         solve_radial("even", 0, 2, 1.0, 3000)
+
+
+@pytest.mark.parametrize("N", [3000, 1100])
+def test_truncation_cap_is_checked_before_any_eigensolve(monkeypatch, N):
+    # T0 = 2N + 18 either passes the cap or cannot double within it
+    import cliffordprolate.galerkin as galerkin
+
+    def no_solve(*a, **kw):
+        raise AssertionError("eigensolve started past the truncation cap")
+
+    monkeypatch.setattr(galerkin, "eigh_tridiagonal", no_solve)
+    with pytest.raises(ConvergenceError):
+        solve_radial("even", 0, 2, 1.0, N)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("c", [0.5, 4.0, 20.0])
+@pytest.mark.parametrize("k", [0, 5])
+def test_block_orders_match_one_order_dense_reference(m, c, k):
+    # every order of a block against that order alone, solved densely
+    # on the same truncated matrix
+    from cliffordprolate.prolate import cpswf_blocks
+
+    [(_, psis, _)] = cpswf_blocks(m, c, [k], 7)
+    for psi in psis:
+        chi, coeffs, lam = dense_order(psi.n, k, m, c, psi.pair.truncation)
+        assert abs(psi.chi - chi) <= 1e-12 * abs(chi)
+        assert np.max(np.abs(psi.coeffs - coeffs)) <= 1e-10
+        assert abs(psi.lam - lam) <= 1e-10 * lam
+
+
+def test_block_orders_are_single_order_solves():
+    block = solve_block("even", 1, 3, 2.0, 4, 1e-12)
+    assert [p.truncation for p in block] == [block[0].truncation] * 5
+    assert np.all(np.diff([p.chi for p in block]) > 0)
+    for N, pair in enumerate(block):
+        one = solve_radial("even", 1, 3, 2.0, N, 1e-12)
+        assert abs(pair.chi - one.chi) <= 1e-12 * pair.chi
+        assert pair.coeffs[np.argmax(np.abs(pair.coeffs))] > 0
+        assert abs(pair.coeffs[-1]) <= 1e-12
+
+
+def test_odd_block_is_the_shifted_even_block():
+    k, m, c = 2, 3, 1.5
+    odd = solve_block("odd", k, m, c, 3)
+    even_up = solve_block("even", k + 1, m, c, 3)
+    for o, e, shifted in zip(odd, even_up, as_odd(even_up, k, m)):
+        assert o.chi == shifted.chi == e.chi + 4 * k + 2 * m
+        assert np.array_equal(o.coeffs, e.coeffs)
+        assert o.truncation == e.truncation

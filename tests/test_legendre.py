@@ -14,6 +14,7 @@ from cliffordprolate.legendre import (
     c0_eigenvalue,
     dirac_coupling_check,
     radial_sequence,
+    radial_series,
     radial_values,
     rodrigues_polynomial,
 )
@@ -173,3 +174,26 @@ def test_assembled_polynomial_is_operator_eigenfunction(m, k, n):
         x *= rng.uniform(0, 1) / np.linalg.norm(x)
         dv = lp.evaluate_coeffs(x) - chi * p.evaluate_coeffs(x)
         assert np.max(np.abs(dv)) < 1e-7 * max(1.0, abs(chi) * p.max_coeff())
+
+
+def test_radial_values_take_t_of_any_shape():
+    t = np.linspace(0.0, 1.0, 6).reshape(2, 3)
+    pv, qv = radial_values(2, 3, 4, t)
+    flat_p, flat_q = radial_values(2, 3, 4, t.ravel())
+    assert pv.shape == qv.shape == (5, 2, 3)
+    assert np.array_equal(pv.reshape(5, -1), flat_p)
+    assert np.array_equal(qv.reshape(5, -1), flat_q)
+    scalar_p, _ = radial_values(2, 3, 4, 0.5)
+    assert scalar_p.shape == (5,)
+
+
+@pytest.mark.parametrize("parity", ["even", "odd"])
+def test_radial_series_is_the_table_sum(parity):
+    t = np.linspace(0.0, 1.0, 6).reshape(2, 3)
+    coeffs = np.random.default_rng(7).standard_normal(9)
+    pv, qv = radial_values(3, 2, 8, t)
+    table = pv if parity == "even" else qv
+    want = np.tensordot(coeffs, table, axes=1)
+    got = radial_series(3, 2, parity, coeffs, t)
+    assert got.shape == (2, 3)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))

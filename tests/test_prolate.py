@@ -12,9 +12,12 @@ from cliffordprolate.prolate import (
     eval_field,
     eval_field_coeffs,
     eval_radial,
+    cpswf_blocks,
     make_cpswf,
 )
 from cliffordprolate.special import gauss_rule_unit_interval
+
+from oracles import lambda_mp
 
 
 def test_basic_attributes():
@@ -148,3 +151,52 @@ def test_validation_errors():
     with pytest.raises(ValueError):
         eval_field_coeffs(psi, 1, np.array([1.2, 0.0]))
 
+
+
+def test_lambda_matches_high_precision_oracle():
+    # p_i(0) grows like i^(k+m/2-1/2): a cut on |alpha_i| alone drops tail
+    # terms that still move P(0) and lambda (by 2.9e-9 relative here)
+    lam = make_cpswf(0, 19, 3, 4.0).lam
+    ref = lambda_mp(0, 19, 3, 4.0)
+    assert abs(lam - ref) <= 1e-13 * ref
+
+
+def test_active_length_bounds_every_dropped_term():
+    psi = make_cpswf(0, 19, 3, 4.0)
+    bound = np.abs(psi.coeffs * psi.basis_at_zero)
+    assert np.all(bound[psi._active:] <= 1e-16 * bound.max())
+    # |p_i(t)| peaks at t = 0 on [0, 1], so the bound holds everywhere
+    pv, _ = radial_values(19, 3, psi.pair.truncation - 1, np.linspace(0, 1, 101))
+    assert np.all(np.abs(pv) <= np.abs(psi.basis_at_zero)[:, None] * (1 + 1e-13))
+
+
+@pytest.mark.parametrize("n_max", [0, 1])
+def test_small_blocks_equal_make_cpswf(n_max):
+    # with one order per parity the block solves are make_cpswf's solves,
+    # so the spectral triples agree to the last bit; the values differ only
+    # in summation order (one table against a running sum)
+    t = np.linspace(0, 1, 7)
+    for k, psis, values in cpswf_blocks(3, 1.5, range(3), n_max, t=t):
+        for n, psi in enumerate(psis):
+            one = make_cpswf(n, k, 3, 1.5)
+            assert (psi.chi, psi.mu, psi.lam) == (one.chi, one.mu, one.lam)
+            assert np.max(np.abs(values[n] - one.radial_poly_values(t))) < 1e-14
+
+
+def test_blocks_agree_with_make_cpswf():
+    t = np.linspace(0, 1, 5).reshape(5, 1)
+    for k, psis, values in cpswf_blocks(2, 2.0, [1, 2, 4], 5, t=t):
+        assert values.shape == (6, 5, 1)
+        for n, psi in enumerate(psis):
+            one = make_cpswf(n, k, 2, 2.0)
+            assert (psi.n, psi.k) == (n, k)
+            assert abs(psi.chi - one.chi) <= 1e-12 * one.chi
+            assert abs(psi.lam - one.lam) <= 1e-12 * one.lam
+            assert np.max(np.abs(values[n] - one.radial_poly_values(t))) < 1e-12
+
+
+def test_blocks_validate_like_make_cpswf():
+    with pytest.raises(ValueError, match="require c > 0"):
+        next(cpswf_blocks(2, 0.0, [0], 1))
+    with pytest.raises(ValueError, match="require n >= 0"):
+        next(cpswf_blocks(2, 1.0, [-1], 1))
