@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import jv as _jv
@@ -35,6 +36,8 @@ from .special import (
 )
 
 GRID_POINTS = 64
+# (nu, c, grid, rule) keys whose operator matrices stay cached
+MATRIX_CACHE_ENTRIES = 16
 
 
 @dataclass(frozen=True)
@@ -63,10 +66,26 @@ class VerificationReport:
     lambda_est: float
     ratio_spread: float
     residual: float
+    gc_residual: float
 
 
 def _default_rule() -> QuadratureRule:
     return gauss_rule_unit_interval(default_nodes())
+
+
+def _check_grid(grid) -> np.ndarray:
+    """The default Chebyshev grid, or the caller's grid checked to be a
+    non-empty 1-D array of finite, positive, strictly increasing radii."""
+    if grid is None:
+        return chebyshev_grid(GRID_POINTS)
+    g = np.asarray(grid, dtype=float)
+    if g.ndim != 1 or g.size == 0:
+        raise ValueError(f"grid must be a non-empty 1-D array, got shape {g.shape}")
+    if not (np.all(np.isfinite(g)) and g[0] > 0):
+        raise ValueError("grid must be finite and positive")
+    if np.any(np.diff(g) <= 0):
+        raise ValueError("grid must be strictly increasing")
+    return g
 
 
 def kernel_Kc(x, c: float, m: int) -> float:
@@ -88,11 +107,44 @@ def transform_matrix(nu: float, c: float, targets: np.ndarray,
                      rule: QuadratureRule) -> np.ndarray:
     """Matrix of T against the rule: (T f)(targets) = mat @ f(rule.nodes)."""
     s = np.asarray(targets, dtype=float)
+    if s.ndim != 1:
+        raise ValueError(f"targets must be a 1-D array, got shape {s.shape}")
     if np.any(s <= 0):
         raise ValueError("targets must be positive (use the s -> 0 limit form)")
     r = rule.nodes
     bes = _jv(nu, 2 * math.pi * c * np.outer(s, r))
     return (s ** (-nu))[:, None] * bes * (rule.weights * r ** (nu + 1))[None, :]
+
+
+@lru_cache(maxsize=MATRIX_CACHE_ENTRIES)
+def _cached_matrices(nu: float, c: float, grid: bytes, nodes: bytes,
+                     weights: bytes) -> tuple[np.ndarray, np.ndarray]:
+    rule = QuadratureRule("unit_interval", np.frombuffer(nodes), np.frombuffer(weights))
+    G = transform_matrix(nu, c, np.frombuffer(grid), rule)
+    # the n x n node-to-node matrix lives only for this product
+    Q = G @ transform_matrix(nu, c, rule.nodes, rule)
+    G.setflags(write=False)
+    Q.setflags(write=False)
+    return G, Q
+
+
+def _operator_matrices(nu: float, c: float, grid: np.ndarray,
+                       rule: QuadratureRule) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (G, Q), each len(grid) x n, for a grid from _check_grid:
+    G @ f(rule.nodes) = T[f](grid) and Q @ f(rule.nodes) = T[T[f]](grid).
+
+    Orders of one parity share nu, and an odd degree k shares it with the
+    even degree k + 1, so G_c, QP_c and verify reuse the pair across
+    orders.  The key is the content of the inputs (nu, c and the bytes of
+    the grid, nodes and weights), never an id.  Each entry keeps
+    2 * len(grid) * n doubles, plus its 16 n key bytes: 256 KiB at the
+    default 64-point grid and 256 nodes, 4 MiB at MAX_NODES = 4096, so
+    about 65 MiB for a full cache of MATRIX_CACHE_ENTRIES entries at
+    MAX_NODES.  A longer caller grid grows an entry in proportion.
+    """
+    return _cached_matrices(float(nu), float(c), grid.tobytes(),
+                            rule.nodes.tobytes(), rule.weights.tobytes())
+
 
 
 def _psi_setup(psi: Cpswf):
@@ -106,6 +158,19 @@ def _psi_setup(psi: Cpswf):
     return nu, phase, weight, f
 
 
+def _profiles(psi: Cpswf, grid: np.ndarray,
+              rule: QuadratureRule | None) -> tuple[RadialSamples, RadialSamples]:
+    """G_c psi and QP_c psi on a checked grid, from one evaluation of
+    psi's radial factor at the rule nodes."""
+    rule = _default_rule() if rule is None else rule
+    nu, phase, weight, f = _psi_setup(psi)
+    G, Q = _operator_matrices(nu, psi.c, grid, rule)
+    at_nodes = f(rule.nodes)
+    scale = phase * 2 * math.pi * psi.c ** (1 - psi.m / 2)
+    return (RadialSamples(grid, scale * (G @ at_nodes), weight),
+            RadialSamples(grid, 4 * math.pi ** 2 * psi.c ** 2 * (Q @ at_nodes), weight))
+
+
 def apply_Gc(psi: Cpswf, grid: np.ndarray | None = None,
              rule: QuadratureRule | None = None) -> RadialSamples:
     """Radial profile of G_c psi on the grid.
@@ -113,23 +178,13 @@ def apply_Gc(psi: Cpswf, grid: np.ndarray | None = None,
     The full field is values(r) times the solid Y_k^i (even) or x Y_k^i
     (odd), matching the convention of psi.radial_poly_values.
     """
-    grid = chebyshev_grid(GRID_POINTS) if grid is None else np.asarray(grid, float)
-    rule = _default_rule() if rule is None else rule
-    nu, phase, weight, f = _psi_setup(psi)
-    prof = transform_matrix(nu, psi.c, grid, rule) @ f(rule.nodes)
-    scale = phase * 2 * math.pi * psi.c ** (1 - psi.m / 2)
-    return RadialSamples(grid, scale * prof, weight)
+    return _profiles(psi, _check_grid(grid), rule)[0]
 
 
 def apply_QPc(psi: Cpswf, grid: np.ndarray | None = None,
               rule: QuadratureRule | None = None) -> RadialSamples:
     """Radial profile of QP_c psi = c^m G_c* G_c psi on the grid."""
-    grid = chebyshev_grid(GRID_POINTS) if grid is None else np.asarray(grid, float)
-    rule = _default_rule() if rule is None else rule
-    nu, _, weight, f = _psi_setup(psi)
-    inner = transform_matrix(nu, psi.c, rule.nodes, rule) @ f(rule.nodes)
-    outer = transform_matrix(nu, psi.c, grid, rule) @ inner
-    return RadialSamples(grid, 4 * math.pi ** 2 * psi.c ** 2 * outer, weight)
+    return _profiles(psi, _check_grid(grid), rule)[1]
 
 
 def Mc_kernel(r: float, s: float, c: float, k: int, m: int) -> float:
@@ -157,20 +212,24 @@ def verify(psi: Cpswf, grid: np.ndarray | None = None,
     """Check psi against the defining operators on the verification grid.
 
     mu_est: least-squares constant with G_c psi = mu_est psi; ratio_spread
-    is the worst relative deviation of the pointwise ratio from mu_est.
-    residual is the sup norm of QP_c psi - lambda psi relative to
-    max |psi|, with lambda the closed-form value (dual-route check).
+    is the worst relative deviation of the pointwise ratio from mu_est,
+    which divides by psi and so reads noise where psi is tiny (large c).
+    gc_residual is the sup norm of G_c psi - mu_est psi relative to
+    |mu_est| max |psi|.  residual is the sup norm of QP_c psi - lambda psi
+    relative to max |psi|, with lambda the closed-form value (dual-route
+    check).
     """
-    grid = chebyshev_grid(GRID_POINTS) if grid is None else np.asarray(grid, float)
+    grid = _check_grid(grid)
     own = psi.radial_poly_values(grid ** 2)
-    g = apply_Gc(psi, grid, rule)
+    size = np.max(np.abs(own))
+    g, q = _profiles(psi, grid, rule)
     mu_est = complex(np.dot(own, g.values) / np.dot(own, own))
     ratios = g.values / own
     ratio_spread = float(np.max(np.abs(ratios - mu_est)) / abs(mu_est))
-    q = apply_QPc(psi, grid, rule)
+    gc_residual = float(np.max(np.abs(g.values - mu_est * own)) / (abs(mu_est) * size))
     lambda_est = float(np.real(np.dot(own, q.values) / np.dot(own, own)))
-    residual = float(np.max(np.abs(q.values - psi.lam * own)) / np.max(np.abs(own)))
-    return VerificationReport(mu_est, lambda_est, ratio_spread, residual)
+    residual = float(np.max(np.abs(q.values - psi.lam * own)) / size)
+    return VerificationReport(mu_est, lambda_est, ratio_spread, residual, gc_residual)
 
 
 def _angular_vectors(psi: Cpswf, i: int, sphere: QuadratureRule) -> np.ndarray:

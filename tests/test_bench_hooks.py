@@ -4,6 +4,9 @@
 so renaming or dropping one of those names breaks the traced benchmark.
 This check reads the module's SITES table (the module imports only the
 standard library) and resolves each entry against the imported package.
+It also checks that the operator-matrix cache still builds through the
+wrapped `operators.transform_matrix`, called with four positional
+arguments, so the benchmark's transform counts stay truthful.
 """
 
 import importlib
@@ -28,3 +31,25 @@ def test_span_site_resolves(module, attr):
     for part in attr.split("."):
         owner = getattr(owner, part)
     assert callable(owner)
+
+
+def test_cache_misses_go_through_transform_matrix(monkeypatch):
+    from cliffordprolate import make_cpswf, operators
+
+    seen = []
+    real = operators.transform_matrix
+
+    def wrapped(*args, **kwargs):
+        nu, c, targets, rule = args  # unpacked like the benchmark's counter
+        assert not kwargs
+        seen.append(targets.shape)
+        return real(*args)
+
+    monkeypatch.setattr(operators, "transform_matrix", wrapped)
+    operators._cached_matrices.cache_clear()
+    psi = make_cpswf(1, 2, 3, 1.0)
+    operators.verify(psi)
+    nodes = operators._default_rule().nodes.shape
+    assert sorted(seen) == sorted([(operators.GRID_POINTS,), nodes])
+    operators.verify(psi)
+    assert len(seen) == 2

@@ -87,6 +87,21 @@ def test_verify_pass_and_fail_exit_codes():
     assert "fail" in bad.output
 
 
+def test_verify_gates_on_residuals_at_large_c():
+    # ratio_spread reaches about 3e4 here (it divides by a tiny psi) and is
+    # reported, not gated; both residuals are at rounding level
+    args = "verify --m 2 --c 20 --k 0..1 --nmax 3".split()
+    ok = run(*args)
+    assert ok.exit_code == 0
+    lines = ok.output.splitlines()
+    assert lines[0] == "n,k,abs_mu_est,lambda_est,ratio_spread,residual,status"
+    assert len(lines) == 9 and all(line.endswith(",pass") for line in lines[1:])
+    assert max(float(line.split(",")[4]) for line in lines[1:]) > 1
+    bad = run(*args, "--threshold", "1e-20")
+    assert bad.exit_code == 1
+    assert bad.output.count(",fail") == 8
+
+
 def test_accumulate_columns():
     res = run("accumulate", "--m", "2", "--c", "1", "--k", "2", "--n", "2",
               "--points", "5")

@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from cliffordprolate import operators
 from cliffordprolate.monogenics import basis
 from cliffordprolate.operators import (
+    GRID_POINTS,
     Mc_kernel,
     apply_Gc,
     apply_QPc,
@@ -16,8 +18,13 @@ from cliffordprolate.operators import (
     transform_matrix,
     verify,
 )
-from cliffordprolate.prolate import eval_field_coeffs, make_cpswf
-from cliffordprolate.special import ball_volume, gauss_rule_unit_interval
+from cliffordprolate.prolate import cpswf_blocks, eval_field_coeffs, make_cpswf
+from cliffordprolate.special import (
+    QuadratureRule,
+    ball_volume,
+    chebyshev_grid,
+    gauss_rule_unit_interval,
+)
 
 from oracles import brute_Gc, brute_Kc, brute_Mc, brute_hankel
 
@@ -95,6 +102,127 @@ def test_verify_report_clean():
     assert rep.ratio_spread < 1e-10
     assert rep.residual < 1e-10
     assert abs(rep.lambda_est - make_cpswf(2, 1, 2, 1.0).lam) < 1e-10
+
+
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("c", [5.0, 20.0, 50.0])
+def test_verify_gc_residual_at_large_c(m, c):
+    # ratio_spread divides by psi, which is tiny somewhere at large c;
+    # the norm-relative residuals stay at rounding level
+    for k, psis, _ in cpswf_blocks(m, c, range(2), 3):
+        for psi in psis:
+            rep = verify(psi)
+            assert rep.gc_residual <= 1e-6, (k, psi.n)
+            assert rep.residual <= 1e-6, (k, psi.n)
+            assert abs(abs(rep.mu_est) - abs(psi.mu)) <= 1e-8 * abs(psi.mu)
+
+
+def test_verify_gc_residual_is_the_norm_relative_deviation():
+    psi = make_cpswf(2, 1, 2, 1.0)
+    grid = chebyshev_grid(GRID_POINTS)
+    own = psi.radial_poly_values(grid ** 2)
+    g = apply_Gc(psi).values
+    rep = verify(psi)
+    want = np.max(np.abs(g - rep.mu_est * own)) / (abs(rep.mu_est) * np.max(np.abs(own)))
+    assert rep.gc_residual == want
+    assert rep.gc_residual < 1e-12
+
+
+def test_cached_matrices_match_fresh_transforms():
+    rule = gauss_rule_unit_interval(256)
+    grid = chebyshev_grid(GRID_POINTS)
+    for nu, c in [(0.5, 1.0), (2.0, 3.5)]:
+        G, Q = operators._operator_matrices(nu, c, grid, rule)
+        assert np.array_equal(G, transform_matrix(nu, c, grid, rule))
+        ref = G @ transform_matrix(nu, c, rule.nodes, rule)
+        assert np.max(np.abs(Q - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def test_verify_builds_two_matrices_per_nu(monkeypatch):
+    # m = 3, c = 1, k <= 3: nu = k + 1/2 (even) or k + 3/2 (odd), five
+    # values shared by 28 CPSWFs; each needs the grid and the node matrix
+    calls = []
+    real = operators.transform_matrix
+
+    def counted(*args, **kwargs):
+        calls.append((args[0], len(args[2])))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(operators, "transform_matrix", counted)
+    operators._cached_matrices.cache_clear()
+    psis = [psi for _, block, _ in cpswf_blocks(3, 1.0, range(4), 6) for psi in block]
+    assert len(psis) == 28
+    for psi in psis:
+        verify(psi)
+    assert len(calls) == 10
+    assert sorted(calls) == sorted((k + 0.5, size) for k in range(5)
+                                   for size in (GRID_POINTS, 256))
+
+
+def test_matrix_cache_does_not_alias(monkeypatch):
+    psi = make_cpswf(1, 1, 2, 1.0)  # odd: nu = k + m/2, phase i^(k+1)
+    nu = 2.0
+    rule = gauss_rule_unit_interval(256)
+    f = psi.radial_poly_values(rule.nodes ** 2)
+    scale = 1j ** 2 * 2 * math.pi
+    for grid in (chebyshev_grid(GRID_POINTS), np.linspace(0.1, 0.9, 9),
+                 np.linspace(0.1, 0.9, 9) + 0.05):
+        fresh = transform_matrix(nu, psi.c, grid, rule)
+        assert np.array_equal(apply_Gc(psi, grid).values, scale * (fresh @ f))
+        G, _ = operators._operator_matrices(nu, psi.c, grid, rule)
+        assert np.array_equal(G, fresh)
+    monkeypatch.setenv("CPSWF_NODES", "512")
+    G, Q = operators._operator_matrices(nu, psi.c, chebyshev_grid(GRID_POINTS),
+                                        operators._default_rule())
+    assert G.shape == Q.shape == (GRID_POINTS, 512)
+    # equal nodes, different weights: T is linear in the weights
+    heavy = QuadratureRule("unit_interval", rule.nodes, 2 * rule.weights)
+    grid = chebyshev_grid(GRID_POINTS)
+    G1, Q1 = operators._operator_matrices(nu, psi.c, grid, rule)
+    G2, Q2 = operators._operator_matrices(nu, psi.c, grid, heavy)
+    assert np.array_equal(G2, 2 * G1)
+    assert np.allclose(Q2, 4 * Q1, rtol=1e-14, atol=0)
+
+
+def test_cached_matrices_are_read_only():
+    G, Q = operators._operator_matrices(0.5, 1.0, chebyshev_grid(GRID_POINTS),
+                                        gauss_rule_unit_interval(256))
+    for mat in (G, Q):
+        with pytest.raises(ValueError):
+            mat[0, 0] = 1.0
+
+
+BAD_GRIDS = {
+    "decreasing": [0.5, 0.3],
+    "repeated": [0.3, 0.3],
+    "zero": [0.0, 0.5],
+    "negative": [-0.1, 0.5],
+    "nan": [0.1, float("nan")],
+    "inf": [0.1, float("inf")],
+    "empty": [],
+    "two-d": [[0.1, 0.2], [0.3, 0.4]],
+}
+
+
+@pytest.mark.parametrize("case", BAD_GRIDS)
+@pytest.mark.parametrize("op", [apply_Gc, apply_QPc, verify])
+def test_bad_grid_is_rejected_before_any_transform(monkeypatch, op, case):
+    psi = make_cpswf(0, 0, 2, 1.0)
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("operator work before the grid check")
+
+    monkeypatch.setattr(operators, "transform_matrix", no_work)
+    monkeypatch.setattr(operators, "_operator_matrices", no_work)
+    with pytest.raises(ValueError, match="grid"):
+        op(psi, grid=BAD_GRIDS[case])
+
+
+def test_transform_matrix_rejects_non_1d_targets():
+    rule = gauss_rule_unit_interval(16)
+    for targets in (np.full((2, 3), 0.5), np.float64(0.5)):
+        with pytest.raises(ValueError, match="targets must be a 1-D array"):
+            transform_matrix(0.0, 1.0, targets, rule)
 
 
 def test_Mc_kernel_against_brute_and_symmetry():
