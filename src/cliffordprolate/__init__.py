@@ -2,12 +2,12 @@
 
 Library layout:
   algebra       dense Clifford algebra arithmetic (C_m)
-  special       Bessel/Gamma and quadrature rules
+  special       Gamma-function measures and quadrature rules
   monogenics    orthonormal spherical monogenic bases (m = 2, 3)
   legendre      Clifford-Legendre radial polynomials p_N, q_N
   galerkin      tridiagonal Galerkin matrices and eigenpairs
   prolate       CPSWF assembly, evaluation, spectral triple (chi, mu, lambda)
-  operators     finite Fourier transform G_c, limiting operator QP_c, kernels
+  operators     finite Fourier transform G_c, limiting operator QP_c, kernel K_c
   accumulation  spectrum accumulation sums
   cli           command-line front end
 """

@@ -54,7 +54,7 @@ def partial_sum(m: int, c: float, K: int, N: int, t_grid,
     if K < 0 or N < 0 or c <= 0:
         raise ValueError("require K >= 0, N >= 0, c > 0")
     t = np.atleast_1d(np.asarray(t_grid, dtype=float))
-    if np.any(t < 0) or np.any(t > 1):
+    if not np.all((0 <= t) & (t <= 1)):
         raise ValueError("t grid must lie in [0, 1]")
     total = np.zeros_like(t)
     for k, psis, values in cpswf_blocks(m, c, range(K + 1), 2 * N + 1, tol, t):

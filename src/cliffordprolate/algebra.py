@@ -95,16 +95,12 @@ def conj_coeffs(m: int, u: np.ndarray) -> np.ndarray:
     return np.conj(u) * conjugation_signs(m)
 
 
-def scalar_inner_coeffs(m: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """<u, v> = [conj(u) v]_0 = sum_A conj(u_A) v_A on raw arrays."""
-    return np.sum(np.conj(u) * v, axis=-1)
-
-
 def left_mul_matrix(m: int, g: np.ndarray) -> np.ndarray:
     """Matrix of the left-regular action lambda -> g * lambda on coefficients.
 
-    Under the inner product <.,.> this representation is a *-representation:
-    the matrix of conj(g) is the conjugate transpose of the matrix of g.
+    Under the inner product <u, v> = sum_A conj(u_A) v_A this representation
+    is a *-representation: the matrix of conj(g) is the conjugate transpose
+    of the matrix of g.
     """
     return mul_coeffs(m, g, np.eye(1 << m)).T
 
@@ -169,27 +165,8 @@ class Multivector:
     def scalar_part(self) -> complex:
         return complex(self.coeffs[0])
 
-    def scalar_inner(self, other: "Multivector") -> complex:
-        self._check_same(other)
-        return complex(scalar_inner_coeffs(self.m, self.coeffs, other.coeffs))
-
     def norm(self) -> float:
         return float(np.linalg.norm(self.coeffs))
-
-    def to_json_dict(self) -> dict:
-        """Serialize as {blade-mask-string: [re, im]}, zero entries omitted."""
-        return {
-            str(mask): [float(c.real), float(c.imag)]
-            for mask, c in enumerate(self.coeffs)
-            if c != 0
-        }
-
-    @classmethod
-    def from_json_dict(cls, m: int, data: dict) -> "Multivector":
-        c = np.zeros(1 << m, dtype=complex)
-        for mask, (re, im) in data.items():
-            c[int(mask)] = complex(re, im)
-        return cls(m, c)
 
     def __repr__(self):
         parts = []

@@ -57,12 +57,6 @@ class SymTridiag:
     def size(self) -> int:
         return self.diag.size
 
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        out = self.diag * v
-        out[:-1] += self.offdiag * v[1:]
-        out[1:] += self.offdiag * v[:-1]
-        return out
-
 
 @dataclass(frozen=True)
 class RadialEigenpair:
@@ -106,26 +100,11 @@ def build_odd(k: int, m: int, c: float, T: int) -> SymTridiag:
     """Truncated matrix M^o_k acting on odd-order coefficients beta.
 
     Constructed through the exact identity M^o_k = M^e_(k+1) + (4k+2m) I
-    so that the identity holds to the last bit; the direct entry
-    formulas are kept in _odd_entries_direct and checked against this
-    construction at the 1-ulp level in the test suite.
+    so that the identity holds to the last bit; the test suite checks
+    this construction against the direct entry formulas of M^o_k.
     """
     base = build_even(k + 1, m, c, T)
     return SymTridiag(base.diag + (4 * k + 2 * m), base.offdiag, "odd", k, m, float(c))
-
-
-def _odd_entries_direct(k: int, m: int, c: float, T: int):
-    """Diagonal and off-diagonal of M^o_k from its own closed entry formulas."""
-    h = np.longdouble(m) / 2
-    w = 4 * np.longdouble(math.pi) ** 2 * np.longdouble(c) ** 2
-    i = np.arange(T, dtype=np.longdouble)
-    diag = 4 * (i + 1) * (k + i + h)
-    diag = diag + w / (k + 2 * i + h + 1) * (
-        (k + i + h) ** 2 / (k + 2 * i + h) + (i + 1) ** 2 / (k + 2 * i + h + 2))
-    j = i[:-1]
-    off = -w * (j + 1) * (k + j + h + 1) / (
-        (k + 2 * j + h + 2) * np.sqrt((k + 2 * j + h + 3) * (k + 2 * j + h + 1)))
-    return diag.astype(float), off.astype(float)
 
 
 def build(parity: str, k: int, m: int, c: float, T: int) -> SymTridiag:
@@ -134,23 +113,6 @@ def build(parity: str, k: int, m: int, c: float, T: int) -> SymTridiag:
     if parity == "odd":
         return build_odd(k, m, c, T)
     raise ValueError("parity must be 'even' or 'odd'")
-
-
-def eig_sym_tridiag(mat: SymTridiag):
-    """All eigenpairs, eigenvalues ascending, eigenvectors orthonormal."""
-    vals, vecs = eigh_tridiagonal(mat.diag, mat.offdiag)
-    return [(float(vals[j]), vecs[:, j]) for j in range(vals.size)]
-
-
-def smallc_curvature(parity: str, k: int, m: int, N: int) -> float:
-    """First-order coefficient b with chi(c) = chi(0) + 4 pi^2 c^2 b + O(c^4).
-
-    This is the c^2-coefficient of the N-th diagonal entry, i.e. the
-    |x|^2-recurrence coefficient b_N for the matching parity.
-    """
-    one = build(parity, k, m, 1.0, N + 2)
-    zero = build(parity, k, m, 0.0, N + 2)
-    return float((one.diag[N] - zero.diag[N]) / (4 * math.pi ** 2))
 
 
 def solve_block(parity: str, k: int, m: int, c: float, N_max: int,

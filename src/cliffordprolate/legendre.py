@@ -11,8 +11,8 @@ radial variable t = |x|^2 the normalized polynomials split as
 with the normalization (1/2) int_0^1 p_N p_M t^(k+m/2-1) dt = delta and
 (1/2) int_0^1 q_N q_M t^(k+m/2) dt = delta (unit L^2(B(1)) norm).  The
 production path builds p_N, q_N by the interleaved recurrence coming
-from the Bonnet formulas; the Rodrigues form is kept for exact
-symbolic checks at small degree.
+from the Bonnet formulas; the Rodrigues form, used for exact symbolic
+checks at small degree, lives with the test oracles.
 """
 
 from __future__ import annotations
@@ -23,8 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial as P
-
-from .monogenics import PolyMultivector, basis, dirac
 
 N_MAX = 64
 N_WARN = 40
@@ -157,112 +155,3 @@ def radial_series(k: int, m: int, parity: str, coeffs, t) -> np.ndarray:
     for c, row in zip(coeffs, rows):
         out += c * row[j]
     return out
-
-
-def apply_L0_radial(p: RadialPoly, parity: str, k: int, m: int) -> RadialPoly:
-    """Radial action of the c = 0 operator on a polynomial in t = |x|^2.
-
-    even: F -> -4t(1-t)F'' - 2(m+2k - t(2+m+2k))F'
-    odd:  F -> -4t(1-t)F'' - 2(m+2k+2 - t(4+m+2k))F' + 2(m+2k)F
-    so that the radial parts satisfy L0[p_N] = C(0,2N,m,k) p_N and
-    L0[q_N] = C(0,2N+1,m,k) q_N.
-    """
-    c = np.asarray(p.coeffs, dtype=float)
-    d1 = P.polyder(c)
-    d2 = P.polyder(c, 2)
-    t_d2 = P.polymulx(d2)
-    t2_d2 = P.polymulx(t_d2)
-    t_d1 = P.polymulx(d1)
-    if parity == "even":
-        out = P.polyadd(P.polysub(4 * t2_d2, 4 * t_d2),
-                        P.polysub(2 * (2 + m + 2 * k) * t_d1, 2 * (m + 2 * k) * d1))
-    elif parity == "odd":
-        out = P.polyadd(P.polysub(4 * t2_d2, 4 * t_d2),
-                        P.polysub(2 * (4 + m + 2 * k) * t_d1,
-                                  2 * (m + 2 * k + 2) * d1))
-        out = P.polyadd(out, 2 * (m + 2 * k) * c)
-    else:
-        raise ValueError("parity must be 'even' or 'odd'")
-    return RadialPoly(out, p.n, k, m, parity)
-
-
-def _t_polynomial(m: int) -> PolyMultivector:
-    out = PolyMultivector(m)
-    for j in range(1, m + 1):
-        xj = PolyMultivector.coordinate(m, j)
-        out = out + xj * xj
-    return out
-
-
-def _x_polynomial(m: int) -> PolyMultivector:
-    out = PolyMultivector(m)
-    for j in range(1, m + 1):
-        ej = np.zeros(1 << m, dtype=complex)
-        ej[1 << (j - 1)] = 1.0
-        out = out + PolyMultivector.coordinate(m, j).left_mul(ej)
-    return out
-
-
-def _scalar_poly_of_t(coeffs: np.ndarray, m: int) -> PolyMultivector:
-    t = _t_polynomial(m)
-    out = PolyMultivector.constant(m, complex(coeffs[0]))
-    tpow = PolyMultivector.constant(m, 1.0)
-    for c in coeffs[1:]:
-        tpow = tpow * t
-        out = out + tpow.scale(complex(c))
-    return out
-
-
-def assemble_polynomial(n: int, k: int, m: int,
-                        Y: PolyMultivector | None = None) -> PolyMultivector:
-    """Full normalized Clifford-Legendre polynomial as an exact polynomial.
-
-    Even n = 2N gives p_N(|x|^2) Y(x); odd n = 2N+1 gives x q_N(|x|^2) Y(x).
-    Intended for symbolic verification; capped at n <= 12.
-    """
-    if not 0 <= n <= 12:
-        raise ValueError("assemble_polynomial supports 0 <= n <= 12")
-    if Y is None:
-        Y = basis(m, k).elements[0]
-    N = n // 2
-    ps, qs = radial_sequence(k, m, N)
-    if n % 2 == 0:
-        return _scalar_poly_of_t(ps[N].coeffs, m) * Y
-    return _x_polynomial(m) * _scalar_poly_of_t(qs[N].coeffs, m) * Y
-
-
-def rodrigues_polynomial(n: int, k: int, m: int,
-                         Y: PolyMultivector | None = None) -> PolyMultivector:
-    """Unnormalized Rodrigues form dirac^n[(1 + x^2)^n Y] with x^2 = -|x|^2.
-
-    Multiply by sqrt(2k+2n+m) / (2^n n!) to match assemble_polynomial.
-    """
-    if not 0 <= n <= 13:
-        raise ValueError("rodrigues_polynomial supports 0 <= n <= 13")
-    if Y is None:
-        Y = basis(m, k).elements[0]
-    one_minus_t = PolyMultivector.constant(m, 1.0) - _t_polynomial(m)
-    out = one_minus_t.power(n) * Y
-    for _ in range(n):
-        out = dirac(out)
-    return out
-
-
-def dirac_coupling_check(n: int, k: int, m: int) -> float:
-    """Residual of the Dirac coupling identity on unnormalized polynomials:
-
-        dirac(C_(n+1)) = 4(n+1) [ (n+k+m/2) C_n - n dirac(C_(n-1)) ]
-
-    Returns the max coefficient residual relative to the largest
-    coefficient of the left-hand side.
-    """
-    if not 0 <= n <= 10:
-        raise ValueError("dirac_coupling_check supports 0 <= n <= 10")
-    Y = basis(m, k).elements[0]
-    lhs = dirac(rodrigues_polynomial(n + 1, k, m, Y))
-    rhs = rodrigues_polynomial(n, k, m, Y).scale(4 * (n + 1) * (n + k + m / 2))
-    if n >= 1:
-        rhs = rhs - dirac(rodrigues_polynomial(n - 1, k, m, Y)).scale(4 * (n + 1) * n)
-    diff = lhs - rhs
-    scale = lhs.max_coeff()
-    return diff.max_coeff() / scale if scale else diff.max_coeff()

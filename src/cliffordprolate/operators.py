@@ -8,10 +8,11 @@ k + m/2 (odd):
     T[f](s) = s^(-nu) int_0^1 r^(nu+1) f(r) J_nu(2 pi c r s) dr
 
 with G_c profile = i^(k or k+1) 2 pi c^(1-m/2) T[f] multiplying the solid
-angular factor.  QP_c = c^m G_c* G_c has radial action 4 pi^2 c^2 T[T[f]],
-equivalently the symmetric kernel M_c(r, s).  All constants here are
-fixed against brute-force quadrature of the defining integrals (the
-closed forms in circulation carry typos); see the operator test oracles.
+angular factor.  QP_c = c^m G_c* G_c has radial action 4 pi^2 c^2 T[T[f]].
+All constants here are fixed against brute-force quadrature of the
+defining integrals (the closed forms in circulation carry typos); see the
+operator test oracles, which also hold the symmetric kernel M_c(r, s) of
+T[T[.]] and the full-ball Gram quadrature.
 """
 
 from __future__ import annotations
@@ -21,10 +22,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import jv as _jv
 
-from .algebra import embed_coeffs, mul_coeffs
-from .monogenics import basis
+from .algebra import mul_coeffs  # noqa: F401  (kept for the benchmark's span hooks)
+from .monogenics import basis  # noqa: F401  (kept for the benchmark's span hooks)
 from .prolate import Cpswf
 from .special import (
     QuadratureRule,
@@ -32,7 +32,6 @@ from .special import (
     chebyshev_grid,
     default_nodes,
     gauss_rule_unit_interval,
-    sphere_rule,
 )
 
 GRID_POINTS = 64
@@ -94,25 +93,29 @@ def kernel_Kc(x, c: float, m: int) -> float:
     Closed form (c|x|)^(-m/2) J_(m/2)(2 pi c |x|); K_c(0) = |B(1)|.
     Real-valued and even in x.
     """
+    from scipy.special import jv  # loaded on use: importing the package skips it
+
     x = np.asarray(x, dtype=float)
     s = float(np.linalg.norm(x))
     z = 2 * math.pi * c * s
     if z < 1e-9:
         # J_(m/2)(z) ~ (z/2)^(m/2)/Gamma(m/2+1): the limit is |B(1)|
         return ball_volume(m)
-    return float((c * s) ** (-m / 2) * _jv(m / 2, z))
+    return float((c * s) ** (-m / 2) * jv(m / 2, z))
 
 
 def transform_matrix(nu: float, c: float, targets: np.ndarray,
                      rule: QuadratureRule) -> np.ndarray:
     """Matrix of T against the rule: (T f)(targets) = mat @ f(rule.nodes)."""
+    from scipy.special import jv  # loaded on use: importing the package skips it
+
     s = np.asarray(targets, dtype=float)
     if s.ndim != 1:
         raise ValueError(f"targets must be a 1-D array, got shape {s.shape}")
     if np.any(s <= 0):
         raise ValueError("targets must be positive (use the s -> 0 limit form)")
     r = rule.nodes
-    bes = _jv(nu, 2 * math.pi * c * np.outer(s, r))
+    bes = jv(nu, 2 * math.pi * c * np.outer(s, r))
     return (s ** (-nu))[:, None] * bes * (rule.weights * r ** (nu + 1))[None, :]
 
 
@@ -144,7 +147,6 @@ def _operator_matrices(nu: float, c: float, grid: np.ndarray,
     """
     return _cached_matrices(float(nu), float(c), grid.tobytes(),
                             rule.nodes.tobytes(), rule.weights.tobytes())
-
 
 
 def _psi_setup(psi: Cpswf):
@@ -187,26 +189,6 @@ def apply_QPc(psi: Cpswf, grid: np.ndarray | None = None,
     return _profiles(psi, _check_grid(grid), rule)[1]
 
 
-def Mc_kernel(r: float, s: float, c: float, k: int, m: int) -> float:
-    """Symmetric kernel M_c(r, s) = 2 pi c int_0^1 u J_nu(2pi c r u) J_nu(2pi c s u) du
-    with nu = k + m/2 - 1 (the even-case order).
-
-    Cross-product closed form away from the diagonal; the analytic limit
-    on the diagonal (cancellation makes the cross form unusable there).
-    """
-    nu = k + m / 2 - 1
-    a = 2 * math.pi * c * r
-    b = 2 * math.pi * c * s
-    if abs(a - b) < 1e-7 * (1 + abs(a)):
-        z = (a + b) / 2
-        if z == 0:
-            return 0.0 if nu > 0 else math.pi * c
-        diag = 0.5 * (_jv(nu, z) ** 2 - _jv(nu - 1, z) * _jv(nu + 1, z))
-        return float(2 * math.pi * c * diag)
-    num = b * _jv(nu, a) * _jv(nu - 1, b) - a * _jv(nu - 1, a) * _jv(nu, b)
-    return float(2 * math.pi * c * num / (a ** 2 - b ** 2))
-
-
 def verify(psi: Cpswf, grid: np.ndarray | None = None,
            rule: QuadratureRule | None = None) -> VerificationReport:
     """Check psi against the defining operators on the verification grid.
@@ -230,77 +212,3 @@ def verify(psi: Cpswf, grid: np.ndarray | None = None,
     lambda_est = float(np.real(np.dot(own, q.values) / np.dot(own, own)))
     residual = float(np.max(np.abs(q.values - psi.lam * own)) / size)
     return VerificationReport(mu_est, lambda_est, ratio_spread, residual, gc_residual)
-
-
-def _angular_vectors(psi: Cpswf, i: int, sphere: QuadratureRule) -> np.ndarray:
-    """Values of the angular factor (Y_k^i or w Y_k^i) on sphere nodes."""
-    ang = basis(psi.m, psi.k).elements[i - 1].evaluate_coeffs(sphere.nodes)
-    if psi.parity == "odd":
-        ang = mul_coeffs(psi.m, embed_coeffs(psi.m, sphere.nodes), ang)
-    return ang
-
-
-def ball_gram(entries, radial_rule: QuadratureRule | None = None,
-              sphere_order: int = 64,
-              profiles: list | None = None) -> np.ndarray:
-    """L^2(B(1)) Gram matrix of fields by full-ball product quadrature.
-
-    entries: list of (psi, i) pairs.  profiles optionally replaces each
-    psi's own radial factor by given values at the radial rule nodes
-    (used for transformed fields like QP_c psi).
-    """
-    radial_rule = _default_rule() if radial_rule is None else radial_rule
-    m = entries[0][0].m
-    sphere = sphere_rule(m, sphere_order)
-    r = radial_rule.nodes
-    rad = []
-    angs = []
-    for j, (psi, i) in enumerate(entries):
-        if psi.m != m:
-            raise ValueError("mixed dimensions in ball_gram")
-        prof = psi.radial_poly_values(r ** 2) if profiles is None else profiles[j]
-        solid = r ** (psi.k if psi.parity == "even" else psi.k + 1)
-        rad.append(prof * solid)
-        angs.append(_angular_vectors(psi, i, sphere))
-    n = len(entries)
-    gram = np.zeros((n, n), dtype=complex)
-    wr = radial_rule.weights * r ** (m - 1)
-    for p in range(n):
-        cp = np.conj(angs[p])
-        for q in range(n):
-            ang_int = np.dot(sphere.weights, np.sum(cp * angs[q], axis=-1))
-            rad_int = np.dot(wr, np.conj(rad[p]) * rad[q])
-            gram[p, q] = ang_int * rad_int
-    return gram
-
-
-def dual_orthogonality_check(entries, radial_rule: QuadratureRule | None = None,
-                             sphere_order: int = 64):
-    """Gram matrices of the normalized restricted functions phi-tilde.
-
-    phi-tilde_n = lambda_n^(-1/2) P_c phi_n restricted appropriately:
-    over R^m the Gram is (lambda_p lambda_q)^(-1/2) <psi_p, QP_c psi_q>
-    on B(1) and should be the identity; over B(1) it is
-    (lambda_p lambda_q)^(-1/2) <QP_c psi_p, QP_c psi_q> and should be
-    diag(lambda).  Returns (gram_rm, gram_ball).
-    """
-    radial_rule = _default_rule() if radial_rule is None else radial_rule
-    qp_profiles = []
-    for psi, _ in entries:
-        nu, _, _, f = _psi_setup(psi)
-        tm = transform_matrix(nu, psi.c, radial_rule.nodes, radial_rule)
-        qp_profiles.append(4 * math.pi ** 2 * psi.c ** 2 * (tm @ (tm @ f(radial_rule.nodes))))
-    lam = np.array([psi.lam for psi, _ in entries])
-    scale = 1.0 / np.sqrt(np.outer(lam, lam))
-    own = [psi.radial_poly_values(radial_rule.nodes ** 2) for psi, _ in entries]
-    n = len(entries)
-    gram_rm = np.zeros((n, n), dtype=complex)
-    # mixed Gram <psi_p, QP psi_q>: reuse ball_gram pairwise with mixed profiles
-    for p in range(n):
-        for q in range(n):
-            pair = [entries[p], entries[q]]
-            g = ball_gram(pair, radial_rule, sphere_order,
-                          profiles=[own[p], qp_profiles[q]])
-            gram_rm[p, q] = g[0, 1]
-    gram_ball = ball_gram(entries, radial_rule, sphere_order, profiles=qp_profiles)
-    return scale * gram_rm, scale * gram_ball

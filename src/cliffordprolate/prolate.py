@@ -167,7 +167,7 @@ def cpswf_blocks(m: int, c: float, ks, n_max: int, tol: float | None = None, t=(
 def eval_radial(psi: Cpswf, r) -> np.ndarray:
     """Radial part at |x| = r: P(r^2) for even n, r Q(r^2) for odd n."""
     r = np.asarray(r, dtype=float)
-    if np.any(r < 0) or np.any(r > 1):
+    if not np.all((0 <= r) & (r <= 1)):
         raise ValueError("radius must lie in [0, 1]")
     scalar = r.ndim == 0
     rr = np.atleast_1d(r)
@@ -187,7 +187,7 @@ def eval_field_coeffs(psi: Cpswf, i: int, x: np.ndarray) -> np.ndarray:
         raise ValueError(f"basis index i must be in [1, {d}]")
     x = np.asarray(x, dtype=float)
     t = np.sum(x ** 2, axis=-1)
-    if np.any(t > 1 + 1e-12):
+    if not np.all(t <= 1 + 1e-12):
         raise ValueError("points must lie in the closed unit ball")
     y = basis(m, psi.k).elements[i - 1].evaluate_coeffs(x)
     radial = psi.radial_poly_values(np.ravel(t)).reshape(t.shape)

@@ -1,4 +1,4 @@
-"""Bessel and Gamma functions plus the quadrature rules used everywhere else.
+"""Gamma-function measures plus the quadrature rules used everywhere else.
 
 All integrals over the unit ball are reduced analytically to radial
 integrals on [0, 1] before quadrature; full-dimensional quadrature only
@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import special as _sp
 
 MIN_NODES = 128
 MAX_NODES = 4096
@@ -39,20 +38,6 @@ def default_nodes() -> int:
     if not MIN_NODES <= n <= MAX_NODES:
         raise ValueError(f"CPSWF_NODES must be in [{MIN_NODES}, {MAX_NODES}], got {n}")
     return n
-
-
-def bessel_j(nu, x):
-    """Bessel function of the first kind J_nu(x) for nu >= 0, 0 <= x <= 200."""
-    nu = np.asarray(nu, dtype=float)
-    x = np.asarray(x, dtype=float)
-    if np.any(nu < 0):
-        raise ValueError("order nu must be nonnegative")
-    if np.any(x < 0) or np.any(x > 200):
-        raise ValueError("argument x must lie in [0, 200]")
-    out = _sp.jv(nu, x)
-    if out.ndim == 0:
-        return float(out)
-    return out
 
 
 def gamma_fn(x: float) -> float:
@@ -90,9 +75,6 @@ class QuadratureRule:
         self.nodes.setflags(write=False)
         self.weights.setflags(write=False)
 
-    def integrate(self, values: np.ndarray) -> complex:
-        return np.tensordot(self.weights, values, axes=(0, 0))
-
 
 @lru_cache(maxsize=32)
 def gauss_rule_unit_interval(n: int) -> QuadratureRule:
@@ -101,34 +83,6 @@ def gauss_rule_unit_interval(n: int) -> QuadratureRule:
         raise ValueError(f"node count must be in [1, {MAX_NODES}], got {n}")
     x, w = np.polynomial.legendre.leggauss(n)
     return QuadratureRule("unit_interval", (x + 1) / 2, w / 2)
-
-
-def weighted_inner(f, g, a: float, rule: QuadratureRule | None = None,
-                   tol: float | None = None) -> float:
-    """Approximate integral over [0,1] of f(t) g(t) t^a dt for a > -1.
-
-    With no rule given, starts at the default node count and doubles
-    until two successive estimates agree to tol (node-doubling monitor).
-    """
-    if a <= -1:
-        raise ValueError("weight exponent must satisfy a > -1")
-
-    def estimate(r: QuadratureRule) -> float:
-        t = r.nodes
-        return float(r.integrate(np.asarray(f(t)) * np.asarray(g(t)) * t ** a))
-
-    if rule is not None:
-        return estimate(rule)
-    tol = default_tol() if tol is None else tol
-    n = default_nodes()
-    prev = estimate(gauss_rule_unit_interval(n))
-    while 2 * n <= MAX_NODES:
-        n *= 2
-        cur = estimate(gauss_rule_unit_interval(n))
-        if abs(cur - prev) < max(tol, 1e-11) * (1 + abs(cur)):
-            return cur
-        prev = cur
-    return prev
 
 
 @lru_cache(maxsize=64)

@@ -3,6 +3,11 @@
 Everything here is deliberately naive: dense Jacobi rotations instead of
 LAPACK, direct high-order quadrature of defining integrals instead of
 closed forms.  Slow but trustworthy.
+
+The identities that only verify the library's results live here too: the
+Rodrigues form of the Clifford-Legendre polynomials and the Dirac coupling
+between degrees, the c = 0 radial operator, the small-c curvature of chi,
+the M_c kernel, and full-ball Gram quadrature of the CPSWFs.
 """
 
 from __future__ import annotations
@@ -12,10 +17,16 @@ from functools import lru_cache
 
 import mpmath as mp
 import numpy as np
+from numpy.polynomial import polynomial as P
 from scipy.special import jv
 
-from cliffordprolate.prolate import eval_field_coeffs
-from cliffordprolate.special import gauss_rule_unit_interval
+from cliffordprolate.algebra import embed_coeffs, mul_coeffs
+from cliffordprolate.galerkin import build
+from cliffordprolate.legendre import RadialPoly, radial_sequence
+from cliffordprolate.monogenics import PolyMultivector, basis, dirac
+from cliffordprolate.operators import _default_rule, _psi_setup, transform_matrix
+from cliffordprolate.prolate import Cpswf, eval_field_coeffs
+from cliffordprolate.special import QuadratureRule, gauss_rule_unit_interval, sphere_rule
 
 
 def jacobi_eigenvalues(A: np.ndarray, tol: float = 1e-14,
@@ -154,6 +165,11 @@ def clifford_mul(m: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return out
 
 
+def scalar_inner_coeffs(m: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """<u, v> = [conj(u) v]_0 = sum_A conj(u_A) v_A on raw arrays."""
+    return np.sum(np.conj(u) * v, axis=-1)
+
+
 def galerkin_entries_mp(parity: str, k: int, m: int, c: float, T: int):
     """Diagonal and off-diagonal of M^e_k or M^o_k as mpf lists at the
     working precision, each parity from its own entry formulas (the odd
@@ -174,6 +190,17 @@ def galerkin_entries_mp(parity: str, k: int, m: int, c: float, T: int):
             off.append(-w * (i + 1) * (k + i + h + 1) / (
                 (k + 2 * i + h + 2) * mp.sqrt((k + 2 * i + h + 3) * (k + 2 * i + h + 1))))
     return diag, off[:-1]
+
+
+def smallc_curvature(parity: str, k: int, m: int, N: int) -> float:
+    """First-order coefficient b with chi(c) = chi(0) + 4 pi^2 c^2 b + O(c^4).
+
+    This is the c^2-coefficient of the N-th diagonal entry, i.e. the
+    |x|^2-recurrence coefficient b_N for the matching parity.
+    """
+    one = build(parity, k, m, 1.0, N + 2)
+    zero = build(parity, k, m, 0.0, N + 2)
+    return float((one.diag[N] - zero.diag[N]) / (4 * math.pi ** 2))
 
 
 def radial_at_zero_mp(parity: str, k: int, m: int, T: int) -> list:
@@ -230,3 +257,206 @@ def dense_order(n: int, k: int, m: int, c: float, T: int):
     with mp.workdps(30):
         lam = float(_lambda(parity, k, m, mp.mpf(c), v, at_zero))
     return float(vals[n // 2]), v, lam
+
+
+def apply_L0_radial(p: RadialPoly, parity: str, k: int, m: int) -> RadialPoly:
+    """Radial action of the c = 0 operator on a polynomial in t = |x|^2.
+
+    even: F -> -4t(1-t)F'' - 2(m+2k - t(2+m+2k))F'
+    odd:  F -> -4t(1-t)F'' - 2(m+2k+2 - t(4+m+2k))F' + 2(m+2k)F
+    so that the radial parts satisfy L0[p_N] = C(0,2N,m,k) p_N and
+    L0[q_N] = C(0,2N+1,m,k) q_N.
+    """
+    c = np.asarray(p.coeffs, dtype=float)
+    d1 = P.polyder(c)
+    d2 = P.polyder(c, 2)
+    t_d2 = P.polymulx(d2)
+    t2_d2 = P.polymulx(t_d2)
+    t_d1 = P.polymulx(d1)
+    if parity == "even":
+        out = P.polyadd(P.polysub(4 * t2_d2, 4 * t_d2),
+                        P.polysub(2 * (2 + m + 2 * k) * t_d1, 2 * (m + 2 * k) * d1))
+    elif parity == "odd":
+        out = P.polyadd(P.polysub(4 * t2_d2, 4 * t_d2),
+                        P.polysub(2 * (4 + m + 2 * k) * t_d1,
+                                  2 * (m + 2 * k + 2) * d1))
+        out = P.polyadd(out, 2 * (m + 2 * k) * c)
+    else:
+        raise ValueError("parity must be 'even' or 'odd'")
+    return RadialPoly(out, p.n, k, m, parity)
+
+
+def _t_polynomial(m: int) -> PolyMultivector:
+    out = PolyMultivector(m)
+    for j in range(1, m + 1):
+        xj = PolyMultivector.coordinate(m, j)
+        out = out + xj * xj
+    return out
+
+
+def _x_polynomial(m: int) -> PolyMultivector:
+    out = PolyMultivector(m)
+    for j in range(1, m + 1):
+        ej = np.zeros(1 << m, dtype=complex)
+        ej[1 << (j - 1)] = 1.0
+        out = out + PolyMultivector.coordinate(m, j).left_mul(ej)
+    return out
+
+
+def _scalar_poly_of_t(coeffs: np.ndarray, m: int) -> PolyMultivector:
+    t = _t_polynomial(m)
+    out = PolyMultivector.constant(m, complex(coeffs[0]))
+    tpow = PolyMultivector.constant(m, 1.0)
+    for c in coeffs[1:]:
+        tpow = tpow * t
+        out = out + tpow.scale(complex(c))
+    return out
+
+
+def assemble_polynomial(n: int, k: int, m: int,
+                        Y: PolyMultivector | None = None) -> PolyMultivector:
+    """Full normalized Clifford-Legendre polynomial as an exact polynomial.
+
+    Even n = 2N gives p_N(|x|^2) Y(x); odd n = 2N+1 gives x q_N(|x|^2) Y(x).
+    Intended for symbolic verification; capped at n <= 12.
+    """
+    if not 0 <= n <= 12:
+        raise ValueError("assemble_polynomial supports 0 <= n <= 12")
+    if Y is None:
+        Y = basis(m, k).elements[0]
+    N = n // 2
+    ps, qs = radial_sequence(k, m, N)
+    if n % 2 == 0:
+        return _scalar_poly_of_t(ps[N].coeffs, m) * Y
+    return _x_polynomial(m) * _scalar_poly_of_t(qs[N].coeffs, m) * Y
+
+
+def rodrigues_polynomial(n: int, k: int, m: int,
+                         Y: PolyMultivector | None = None) -> PolyMultivector:
+    """Unnormalized Rodrigues form dirac^n[(1 + x^2)^n Y] with x^2 = -|x|^2.
+
+    Multiply by sqrt(2k+2n+m) / (2^n n!) to match assemble_polynomial.
+    """
+    if not 0 <= n <= 13:
+        raise ValueError("rodrigues_polynomial supports 0 <= n <= 13")
+    if Y is None:
+        Y = basis(m, k).elements[0]
+    one_minus_t = PolyMultivector.constant(m, 1.0) - _t_polynomial(m)
+    out = one_minus_t.power(n) * Y
+    for _ in range(n):
+        out = dirac(out)
+    return out
+
+
+def dirac_coupling_check(n: int, k: int, m: int) -> float:
+    """Residual of the Dirac coupling identity on unnormalized polynomials:
+
+        dirac(C_(n+1)) = 4(n+1) [ (n+k+m/2) C_n - n dirac(C_(n-1)) ]
+
+    Returns the max coefficient residual relative to the largest
+    coefficient of the left-hand side.
+    """
+    if not 0 <= n <= 10:
+        raise ValueError("dirac_coupling_check supports 0 <= n <= 10")
+    Y = basis(m, k).elements[0]
+    lhs = dirac(rodrigues_polynomial(n + 1, k, m, Y))
+    rhs = rodrigues_polynomial(n, k, m, Y).scale(4 * (n + 1) * (n + k + m / 2))
+    if n >= 1:
+        rhs = rhs - dirac(rodrigues_polynomial(n - 1, k, m, Y)).scale(4 * (n + 1) * n)
+    diff = lhs - rhs
+    scale = lhs.max_coeff()
+    return diff.max_coeff() / scale if scale else diff.max_coeff()
+
+
+def Mc_kernel(r: float, s: float, c: float, k: int, m: int) -> float:
+    """Symmetric kernel M_c(r, s) = 2 pi c int_0^1 u J_nu(2pi c r u) J_nu(2pi c s u) du
+    with nu = k + m/2 - 1 (the even-case order).
+
+    Cross-product closed form away from the diagonal; the analytic limit
+    on the diagonal (cancellation makes the cross form unusable there).
+    """
+    nu = k + m / 2 - 1
+    a = 2 * math.pi * c * r
+    b = 2 * math.pi * c * s
+    if abs(a - b) < 1e-7 * (1 + abs(a)):
+        z = (a + b) / 2
+        if z == 0:
+            return 0.0 if nu > 0 else math.pi * c
+        diag = 0.5 * (jv(nu, z) ** 2 - jv(nu - 1, z) * jv(nu + 1, z))
+        return float(2 * math.pi * c * diag)
+    num = b * jv(nu, a) * jv(nu - 1, b) - a * jv(nu - 1, a) * jv(nu, b)
+    return float(2 * math.pi * c * num / (a ** 2 - b ** 2))
+
+
+def _angular_vectors(psi: Cpswf, i: int, sphere: QuadratureRule) -> np.ndarray:
+    """Values of the angular factor (Y_k^i or w Y_k^i) on sphere nodes."""
+    ang = basis(psi.m, psi.k).elements[i - 1].evaluate_coeffs(sphere.nodes)
+    if psi.parity == "odd":
+        ang = mul_coeffs(psi.m, embed_coeffs(psi.m, sphere.nodes), ang)
+    return ang
+
+
+def ball_gram(entries, radial_rule: QuadratureRule | None = None,
+              sphere_order: int = 64,
+              profiles: list | None = None) -> np.ndarray:
+    """L^2(B(1)) Gram matrix of fields by full-ball product quadrature.
+
+    entries: list of (psi, i) pairs.  profiles optionally replaces each
+    psi's own radial factor by given values at the radial rule nodes
+    (used for transformed fields like QP_c psi).
+    """
+    radial_rule = _default_rule() if radial_rule is None else radial_rule
+    m = entries[0][0].m
+    sphere = sphere_rule(m, sphere_order)
+    r = radial_rule.nodes
+    rad = []
+    angs = []
+    for j, (psi, i) in enumerate(entries):
+        if psi.m != m:
+            raise ValueError("mixed dimensions in ball_gram")
+        prof = psi.radial_poly_values(r ** 2) if profiles is None else profiles[j]
+        solid = r ** (psi.k if psi.parity == "even" else psi.k + 1)
+        rad.append(prof * solid)
+        angs.append(_angular_vectors(psi, i, sphere))
+    n = len(entries)
+    gram = np.zeros((n, n), dtype=complex)
+    wr = radial_rule.weights * r ** (m - 1)
+    for p in range(n):
+        cp = np.conj(angs[p])
+        for q in range(n):
+            ang_int = np.dot(sphere.weights, np.sum(cp * angs[q], axis=-1))
+            rad_int = np.dot(wr, np.conj(rad[p]) * rad[q])
+            gram[p, q] = ang_int * rad_int
+    return gram
+
+
+def dual_orthogonality_check(entries, radial_rule: QuadratureRule | None = None,
+                             sphere_order: int = 64):
+    """Gram matrices of the normalized restricted functions phi-tilde.
+
+    phi-tilde_n = lambda_n^(-1/2) P_c phi_n restricted appropriately:
+    over R^m the Gram is (lambda_p lambda_q)^(-1/2) <psi_p, QP_c psi_q>
+    on B(1) and should be the identity; over B(1) it is
+    (lambda_p lambda_q)^(-1/2) <QP_c psi_p, QP_c psi_q> and should be
+    diag(lambda).  Returns (gram_rm, gram_ball).
+    """
+    radial_rule = _default_rule() if radial_rule is None else radial_rule
+    qp_profiles = []
+    for psi, _ in entries:
+        nu, _, _, f = _psi_setup(psi)
+        tm = transform_matrix(nu, psi.c, radial_rule.nodes, radial_rule)
+        qp_profiles.append(4 * math.pi ** 2 * psi.c ** 2 * (tm @ (tm @ f(radial_rule.nodes))))
+    lam = np.array([psi.lam for psi, _ in entries])
+    scale = 1.0 / np.sqrt(np.outer(lam, lam))
+    own = [psi.radial_poly_values(radial_rule.nodes ** 2) for psi, _ in entries]
+    n = len(entries)
+    gram_rm = np.zeros((n, n), dtype=complex)
+    # mixed Gram <psi_p, QP psi_q>: reuse ball_gram pairwise with mixed profiles
+    for p in range(n):
+        for q in range(n):
+            pair = [entries[p], entries[q]]
+            g = ball_gram(pair, radial_rule, sphere_order,
+                          profiles=[own[p], qp_profiles[q]])
+            gram_rm[p, q] = g[0, 1]
+    gram_ball = ball_gram(entries, radial_rule, sphere_order, profiles=qp_profiles)
+    return scale * gram_rm, scale * gram_ball

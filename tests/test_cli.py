@@ -1,12 +1,16 @@
 """CLI contract: formats, determinism, exit codes."""
 
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import cliffordprolate
 from cliffordprolate.cli import main
 from cliffordprolate.prolate import make_cpswf
 
@@ -243,3 +247,14 @@ def test_output_file(tmp_path):
     assert text.startswith("n,k,chi,lambda,abs_mu,phase_exponent\r\n")
     inline = run("eigs", "--m", "2", "--k", "0", "--c", "1", "--count", "2")
     assert text.replace("\r\n", "\n") == inline.output
+
+
+def test_cli_import_does_not_load_scipy_special():
+    # every CLI process pays its imports; Bessel functions load on first use
+    src = str(Path(cliffordprolate.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = "import sys, cliffordprolate.cli; print('scipy.special' in sys.modules)"
+    res = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert res.stdout == "False\n"

@@ -8,18 +8,21 @@ import pytest
 from scipy.special import eval_legendre
 
 from cliffordprolate.legendre import (
-    apply_L0_radial,
-    assemble_polynomial,
     bonnet_coeffs,
     c0_eigenvalue,
-    dirac_coupling_check,
     radial_sequence,
     radial_series,
     radial_values,
-    rodrigues_polynomial,
 )
 from cliffordprolate.monogenics import dirac
 from cliffordprolate.special import gauss_rule_unit_interval
+
+from oracles import (
+    apply_L0_radial,
+    assemble_polynomial,
+    dirac_coupling_check,
+    rodrigues_polynomial,
+)
 
 
 def radial_inner(f, g, weight_exp, rule):

@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from cliffordprolate.algebra import scalar_inner_coeffs
 from cliffordprolate.monogenics import (
     PolyMultivector,
     _sphere_clifford_inner,
@@ -14,6 +13,8 @@ from cliffordprolate.monogenics import (
     dirac,
 )
 from cliffordprolate.special import sphere_area, sphere_rule
+
+from oracles import scalar_inner_coeffs
 
 
 @pytest.mark.parametrize("m,k,d", [(2, 0, 1), (2, 5, 1), (3, 0, 1), (3, 1, 2),

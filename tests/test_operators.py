@@ -9,11 +9,8 @@ from cliffordprolate import operators
 from cliffordprolate.monogenics import basis
 from cliffordprolate.operators import (
     GRID_POINTS,
-    Mc_kernel,
     apply_Gc,
     apply_QPc,
-    ball_gram,
-    dual_orthogonality_check,
     kernel_Kc,
     transform_matrix,
     verify,
@@ -26,7 +23,15 @@ from cliffordprolate.special import (
     gauss_rule_unit_interval,
 )
 
-from oracles import brute_Gc, brute_Kc, brute_Mc, brute_hankel
+from oracles import (
+    Mc_kernel,
+    ball_gram,
+    brute_Gc,
+    brute_Kc,
+    brute_Mc,
+    brute_hankel,
+    dual_orthogonality_check,
+)
 
 
 def test_kernel_Kc_against_brute():

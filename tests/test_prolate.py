@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from cliffordprolate.algebra import Multivector, embed, scalar_inner_coeffs
+from cliffordprolate.accumulation import partial_sum
+from cliffordprolate.algebra import Multivector, embed
 from cliffordprolate.legendre import radial_values
 from cliffordprolate.monogenics import basis
 from cliffordprolate.prolate import (
@@ -17,7 +18,7 @@ from cliffordprolate.prolate import (
 )
 from cliffordprolate.special import gauss_rule_unit_interval
 
-from oracles import lambda_mp
+from oracles import lambda_mp, scalar_inner_coeffs
 
 
 def test_basic_attributes():
@@ -151,6 +152,27 @@ def test_validation_errors():
     with pytest.raises(ValueError):
         eval_field_coeffs(psi, 1, np.array([1.2, 0.0]))
 
+
+_RANGE_CHECKS = {
+    "eval_radial": (r"radius must lie in \[0, 1\]",
+                    lambda psi, v: eval_radial(psi, v)),
+    "eval_field_coeffs": ("points must lie in the closed unit ball",
+                          lambda psi, v: eval_field_coeffs(psi, 1, np.array([[0.5, 0], [v, 0]]))),
+    "partial_sum": (r"t grid must lie in \[0, 1\]",
+                    lambda psi, v: partial_sum(2, 1.0, 1, 1, [0.5, v])),
+}
+
+
+@pytest.mark.parametrize("name, value", [
+    ("eval_radial", -0.5), ("eval_radial", 1.5), ("eval_radial", math.nan),
+    ("eval_field_coeffs", 1.5), ("eval_field_coeffs", math.nan),
+    ("partial_sum", -0.5), ("partial_sum", 1.5), ("partial_sum", math.nan),
+])
+def test_range_checks_reject_out_of_range_and_nan(name, value):
+    # NaN fails every comparison, so a check must ask that all values lie inside
+    message, call = _RANGE_CHECKS[name]
+    with pytest.raises(ValueError, match=message):
+        call(make_cpswf(1, 1, 2, 1.0), value)
 
 
 def test_lambda_matches_high_precision_oracle():
