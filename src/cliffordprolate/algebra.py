@@ -188,10 +188,7 @@ def embed(x, m: int | None = None) -> Multivector:
     check_dim(m)
     if x.shape != (m,):
         raise ValueError(f"expected {m} coordinates, got shape {x.shape}")
-    c = np.zeros(1 << m, dtype=complex)
-    for j in range(m):
-        c[1 << j] = x[j]
-    return Multivector(m, c)
+    return Multivector(m, embed_coeffs(m, x))
 
 
 def embed_coeffs(m: int, x: np.ndarray) -> np.ndarray:

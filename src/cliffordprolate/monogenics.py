@@ -1,4 +1,5 @@
-"""Orthonormal bases of inner spherical monogenics for m = 2 and m = 3.
+"""Clifford polynomials and orthonormal bases of inner spherical
+monogenics for m = 2 and m = 3.
 
 An inner spherical monogenic of degree k is a homogeneous polynomial
 Y_k: R^m -> C_m with dirac(Y_k) = 0 (left monogenic).  The space M+(k)
@@ -11,6 +12,9 @@ m=2: the single element Y_k = (2 pi)^(-1/2) (x_1 - e_1 e_2 x_2)^k.
 m=3: Cauchy-Kovalevskaya extensions of the monomials x_2^a x_3^b
 (a + b = k), made orthonormal by Gram-Schmidt over the right C_3-module
 structure; module orthonormality is what forces the constant zonal trace.
+
+A PolyMultivector holds its monomials as two arrays, so each operation on
+it, evaluation at many points included, is a few array expressions.
 """
 
 from __future__ import annotations
@@ -43,86 +47,80 @@ def dim_monogenic(m: int, k: int) -> int:
 
 
 class PolyMultivector:
-    """Polynomial R^m -> C_m stored as {monomial exponents: coefficient array}.
-
-    Keys are m-tuples of nonnegative integers, values are raw coefficient
-    arrays of length 2^m (see algebra).
+    """Polynomial R^m -> C_m as two read-only arrays: exps (T, m), the
+    integer exponents of its T monomials, and coeffs (T, 2^m), their raw
+    C_m coefficients (see algebra).  No two rows share exponents and no
+    coefficient row is zero, so the zero polynomial has T = 0.  Built from
+    the {exponent tuple: coefficient row} dict that .terms returns.
     """
 
-    __slots__ = ("m", "terms")
+    __slots__ = ("m", "exps", "coeffs")
 
     def __init__(self, m: int, terms: dict | None = None):
         check_dim(m)
-        self.m = m
-        self.terms: dict[tuple, np.ndarray] = {}
-        if terms:
-            for a, c in terms.items():
-                c = np.asarray(c, dtype=complex)
-                if np.any(c != 0):
-                    self.terms[tuple(int(v) for v in a)] = c.copy()
+        terms = terms or {}
+        p = self._from_rows(m, np.array(list(terms), dtype=int).reshape(len(terms), m),
+                            np.array(list(terms.values()), dtype=complex).reshape(-1, 1 << m))
+        self.m, self.exps, self.coeffs = p.m, p.exps, p.coeffs
+
+    @classmethod
+    def _from_rows(cls, m: int, exps: np.ndarray, coeffs: np.ndarray) -> "PolyMultivector":
+        """The canonical polynomial of these rows: rows of equal exponents
+        summed in order, zero rows dropped, both arrays read-only."""
+        exps, where = np.unique(exps.reshape(-1, m), axis=0, return_inverse=True)
+        summed = np.zeros((len(exps), 1 << m), dtype=complex)
+        np.add.at(summed, where.reshape(-1), coeffs.reshape(-1, 1 << m))
+        keep = np.any(summed != 0, axis=1)
+        out = cls.__new__(cls)
+        out.m, out.exps, out.coeffs = m, exps[keep], summed[keep]
+        out.exps.setflags(write=False)
+        out.coeffs.setflags(write=False)
+        return out
 
     @classmethod
     def constant(cls, m: int, value: Multivector | complex) -> "PolyMultivector":
-        if isinstance(value, Multivector):
-            coeffs = value.coeffs
-        else:
-            coeffs = np.zeros(1 << m, dtype=complex)
-            coeffs[0] = value
-        return cls(m, {(0,) * m: coeffs})
+        coeffs = value.coeffs if isinstance(value, Multivector) else value * np.eye(1 << m)[0]
+        return cls._from_rows(m, np.zeros((1, m), dtype=int), coeffs)
 
     @classmethod
     def coordinate(cls, m: int, j: int) -> "PolyMultivector":
         """The scalar monomial x_j (1-indexed)."""
-        a = [0] * m
-        a[j - 1] = 1
-        coeffs = np.zeros(1 << m, dtype=complex)
-        coeffs[0] = 1.0
-        return cls(m, {tuple(a): coeffs})
+        return cls._from_rows(m, np.eye(m, dtype=int)[j - 1], np.eye(1 << m)[0])
 
-    def copy(self) -> "PolyMultivector":
-        return PolyMultivector(self.m, self.terms)
+    @classmethod
+    def vector(cls, m: int) -> "PolyMultivector":
+        """The vector polynomial x = x_1 e_1 + ... + x_m e_m."""
+        return cls._from_rows(m, np.eye(m, dtype=int), np.eye(1 << m)[1 << np.arange(m)])
 
-    def _accumulate(self, a: tuple, c: np.ndarray) -> None:
-        if a in self.terms:
-            self.terms[a] = self.terms[a] + c
-        else:
-            self.terms[a] = np.array(c, dtype=complex)
+    @property
+    def terms(self) -> dict:
+        """{exponent tuple: read-only coefficient row}."""
+        return dict(zip(map(tuple, self.exps.tolist()), self.coeffs))
 
     def __add__(self, other: "PolyMultivector") -> "PolyMultivector":
-        out = self.copy()
-        for a, c in other.terms.items():
-            out._accumulate(a, c)
-        out._drop_zeros()
-        return out
+        return self._from_rows(self.m, np.concatenate((self.exps, other.exps)),
+                               np.concatenate((self.coeffs, other.coeffs)))
 
     def __sub__(self, other: "PolyMultivector") -> "PolyMultivector":
         return self + other.scale(-1.0)
 
     def scale(self, s: complex) -> "PolyMultivector":
-        return PolyMultivector(self.m, {a: c * s for a, c in self.terms.items()})
+        return self._from_rows(self.m, self.exps, self.coeffs * s)
 
     def left_mul(self, g: np.ndarray) -> "PolyMultivector":
         """Multiply every coefficient by the constant g on the left."""
-        return PolyMultivector(
-            self.m, {a: mul_coeffs(self.m, g, c) for a, c in self.terms.items()}
-        )
+        return self._from_rows(self.m, self.exps, mul_coeffs(self.m, g, self.coeffs))
 
     def right_mul(self, g: np.ndarray) -> "PolyMultivector":
         """Multiply every coefficient by the constant g on the right."""
-        return PolyMultivector(
-            self.m, {a: mul_coeffs(self.m, c, g) for a, c in self.terms.items()}
-        )
+        return self._from_rows(self.m, self.exps, mul_coeffs(self.m, self.coeffs, g))
 
     def __mul__(self, other: "PolyMultivector") -> "PolyMultivector":
         if self.m != other.m:
             raise ValueError("dimension mismatch")
-        out = PolyMultivector(self.m)
-        for a, ca in self.terms.items():
-            for b, cb in other.terms.items():
-                key = tuple(ai + bi for ai, bi in zip(a, b))
-                out._accumulate(key, mul_coeffs(self.m, ca, cb))
-        out._drop_zeros()
-        return out
+        return self._from_rows(
+            self.m, self.exps[:, None] + other.exps[None, :],
+            mul_coeffs(self.m, self.coeffs[:, None], other.coeffs[None, :]))
 
     def power(self, k: int) -> "PolyMultivector":
         out = PolyMultivector.constant(self.m, 1.0)
@@ -130,63 +128,54 @@ class PolyMultivector:
             out = out * self
         return out
 
-    def _drop_zeros(self) -> None:
-        dead = [a for a, c in self.terms.items() if not np.any(c != 0)]
-        for a in dead:
-            del self.terms[a]
-
     def clean(self, eps: float = _CLEAR_EPS) -> "PolyMultivector":
         """Zero out coefficients below eps relative to the largest one."""
-        scale = self.max_coeff()
-        if scale == 0:
-            return PolyMultivector(self.m)
-        out = PolyMultivector(self.m)
-        for a, c in self.terms.items():
-            cc = np.where(np.abs(c) < eps * scale, 0.0, c)
-            if np.any(cc != 0):
-                out.terms[a] = cc
-        return out
+        small = np.abs(self.coeffs) < eps * self.max_coeff()
+        return self._from_rows(self.m, self.exps, np.where(small, 0.0, self.coeffs))
 
     def max_coeff(self) -> float:
-        if not self.terms:
-            return 0.0
-        return max(float(np.max(np.abs(c))) for c in self.terms.values())
+        return float(np.abs(self.coeffs).max(initial=0.0))
 
     def degree(self) -> int:
-        if not self.terms:
-            return -1
-        return max(sum(a) for a in self.terms)
+        return int(self.exps.sum(axis=1).max(initial=-1))
 
     def is_homogeneous(self) -> bool:
-        degs = {sum(a) for a in self.terms}
-        return len(degs) <= 1
+        return len(np.unique(self.exps.sum(axis=1))) <= 1
 
     def evaluate_coeffs(self, x: np.ndarray) -> np.ndarray:
-        """Evaluate at points of shape (..., m); returns arrays (..., 2^m)."""
+        """Evaluate at points of shape (..., m); returns arrays (..., 2^m).
+
+        A real table of the T monomials at the points, built by repeated
+        products, times the real and imaginary coefficient parts in turn:
+        a complex table would double the memory.
+        """
         x = np.asarray(x, dtype=float)
-        out = np.zeros(x.shape[:-1] + (1 << self.m,), dtype=complex)
-        for a, c in self.terms.items():
-            mono = np.ones(x.shape[:-1])
-            for j, aj in enumerate(a):
-                if aj:
-                    mono = mono * x[..., j] ** aj
-            out += mono[..., None] * c
+        lead = x.shape[:-1]
+        mono = np.ones(lead + (len(self.exps),))
+        for j in range(self.m):
+            powers = [np.ones(lead)]
+            for _ in range(self.exps[:, j].max(initial=0)):
+                powers.append(powers[-1] * x[..., j])
+            mono *= np.stack(powers, axis=-1)[..., self.exps[:, j]]
+        out = np.empty(lead + (1 << self.m,), dtype=complex)
+        out.real = mono @ self.coeffs.real
+        out.imag = mono @ self.coeffs.imag
         return out
+
+
+def _dirac(p: PolyMultivector, axes: tuple[int, ...]) -> PolyMultivector:
+    """sum over j in axes (0-indexed) of e_(j+1) d/dx_(j+1), exact on
+    coefficients; rows of exponent 0 in x_(j+1) get zero and are dropped."""
+    m, axes = p.m, list(axes)
+    blades = np.eye(1 << m)[[1 << j for j in axes]]
+    exps = p.exps[None] - np.eye(m, dtype=int)[axes][:, None]
+    coeffs = p.exps.T[axes, :, None] * mul_coeffs(m, blades[:, None], p.coeffs[None])
+    return PolyMultivector._from_rows(m, exps, coeffs)
 
 
 def dirac(p: PolyMultivector) -> PolyMultivector:
     """Left Dirac derivative sum_j e_j d/dx_j, exact on coefficients."""
-    m = p.m
-    out = PolyMultivector(m)
-    blades = np.eye(1 << m)
-    for a, c in p.terms.items():
-        for j in range(m):
-            if a[j] == 0:
-                continue
-            key = tuple(v - (i == j) for i, v in enumerate(a))
-            out._accumulate(key, a[j] * mul_coeffs(m, blades[1 << j], c))
-    out._drop_zeros()
-    return out
+    return _dirac(p, tuple(range(p.m)))
 
 
 @dataclass(frozen=True)
@@ -236,26 +225,14 @@ def _ck_extension(m: int, a: int, b: int) -> PolyMultivector:
     """
     seed = (PolyMultivector.coordinate(m, 2).power(a)
             * PolyMultivector.coordinate(m, 3).power(b))
-    e1 = np.zeros(1 << m, dtype=complex)
-    e1[1] = 1.0
+    e1 = np.eye(1 << m)[1]
     x1 = PolyMultivector.coordinate(m, 1)
-    out = seed.copy()
-    g = seed
+    out = g = seed
     x1pow = PolyMultivector.constant(m, 1.0)
     fact = 1.0
     for j in range(1, a + b + 1):
         # underline-d: the Dirac operator in the variables x_2, x_3 only
-        sub = PolyMultivector(m)
-        for key, c in g.terms.items():
-            for var in (2, 3):
-                if key[var - 1] == 0:
-                    continue
-                dkey = tuple(v - (i == var - 1) for i, v in enumerate(key))
-                ev = np.zeros(1 << m, dtype=complex)
-                ev[1 << (var - 1)] = 1.0
-                sub._accumulate(dkey, key[var - 1] * mul_coeffs(m, ev, c))
-        sub._drop_zeros()
-        g = sub.left_mul(e1)
+        g = _dirac(g, (1, 2)).left_mul(e1)
         x1pow = x1pow * x1
         fact *= j
         out = out + x1pow.scale(1.0 / fact) * g
@@ -269,9 +246,7 @@ def basis_2d(k: int) -> MonogenicBasis:
         raise ValueError("k must be >= 0")
     m = 2
     x1 = PolyMultivector.coordinate(m, 1)
-    e12 = np.zeros(1 << m, dtype=complex)
-    e12[0b11] = 1.0
-    x2e12 = PolyMultivector.coordinate(m, 2).left_mul(e12)
+    x2e12 = PolyMultivector.coordinate(m, 2).left_mul(np.eye(1 << m)[0b11])
     y = (x1 - x2e12).power(k).scale(1.0 / math.sqrt(2 * math.pi))
     return MonogenicBasis(m, k, [y])
 

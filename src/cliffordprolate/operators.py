@@ -96,6 +96,10 @@ def kernel_Kc(x, c: float, m: int) -> float:
     from scipy.special import jv  # loaded on use: importing the package skips it
 
     x = np.asarray(x, dtype=float)
+    if not (math.isfinite(c) and c >= 0):
+        raise ValueError(f"c must be finite and >= 0, got {c!r}")
+    if x.shape != (m,) or not np.all(np.isfinite(x)):
+        raise ValueError(f"x must be {m} finite coordinates, got shape {x.shape}")
     s = float(np.linalg.norm(x))
     z = 2 * math.pi * c * s
     if z < 1e-9:
@@ -150,9 +154,10 @@ def _operator_matrices(nu: float, c: float, grid: np.ndarray,
 
 
 def _psi_setup(psi: Cpswf):
-    nu = psi.k + psi.m / 2 - 1 if psi.parity == "even" else psi.k + psi.m / 2
-    phase = 1j ** psi.k if psi.parity == "even" else 1j ** (psi.k + 1)
-    weight = 2 * psi.k + psi.m - 1 if psi.parity == "even" else 2 * psi.k + psi.m + 1
+    # an odd order of degree k transforms like the even family of degree
+    # k + 1 (see Cpswf.mu), so all three follow kappa = k + (n mod 2)
+    kappa = psi.k + psi.n % 2
+    nu, phase, weight = kappa + psi.m / 2 - 1, 1j ** kappa, 2 * kappa + psi.m - 1
 
     def f(r):
         return psi.radial_poly_values(np.asarray(r) ** 2)

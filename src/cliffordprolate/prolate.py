@@ -24,10 +24,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra import Multivector, embed_coeffs, mul_coeffs
+from .algebra import Multivector
+from .algebra import mul_coeffs  # noqa: F401  (kept for the benchmark's span hooks)
 from .galerkin import RadialEigenpair, as_odd, solve_block, solve_radial
 from .legendre import radial_series, radial_values
-from .monogenics import basis, dim_monogenic
+from .monogenics import PolyMultivector, basis, dim_monogenic
 from .special import gamma_fn
 
 
@@ -94,20 +95,20 @@ class Cpswf:
     def mu(self) -> complex:
         """Eigenvalue of the finite Fourier transform G_c.
 
-        Closed forms in terms of the leading coefficient and the radial
-        value at zero; the phase is i^(k+n) times a real sign.  The
-        overall constant is pinned against direct quadrature of the
-        defining integral (see operators.verify and the test oracles).
+        One closed form in kappa = k + (n mod 2), the leading coefficient
+        and the radial value at zero: an odd order of degree k is the even
+        family of degree k + 1 (galerkin.as_odd, q^k_N = -p^(k+1)_N), so
+        it takes the even form at kappa with the sign flipped.  The phase
+        is i^kappa times a real sign.  The overall constant is pinned
+        against direct quadrature of the defining integral (see
+        operators.verify and the test oracles).
         """
-        k, m, c = self.k, self.m, self.c
-        if self.parity == "even":
-            num = (1j ** k) * math.sqrt(2 * k + m) * math.pi ** (k + m / 2) * c ** k
-            return complex(num * self.coeffs[0]
-                           / (gamma_fn(k + m / 2 + 1) * self.value_at_zero))
-        num = -(1j ** (k + 1)) * math.sqrt(2 * k + m + 2) \
-            * math.pi ** (k + m / 2 + 1) * c ** (k + 1)
+        m, c = self.m, self.c
+        kappa = self.k + self.n % 2
+        phase = -(1j ** kappa) if self.n % 2 else 1j ** kappa
+        num = phase * math.sqrt(2 * kappa + m) * math.pi ** (kappa + m / 2) * c ** kappa
         return complex(num * self.coeffs[0]
-                       / (gamma_fn(k + m / 2 + 2) * self.value_at_zero))
+                       / (gamma_fn(kappa + m / 2 + 1) * self.value_at_zero))
 
     @cached_property
     def lam(self) -> float:
@@ -186,14 +187,16 @@ def eval_field_coeffs(psi: Cpswf, i: int, x: np.ndarray) -> np.ndarray:
     if not 1 <= i <= d:
         raise ValueError(f"basis index i must be in [1, {d}]")
     x = np.asarray(x, dtype=float)
+    if x.ndim == 0 or x.shape[-1] != m:
+        raise ValueError(f"points must have shape (..., {m}), got {x.shape}")
     t = np.sum(x ** 2, axis=-1)
     if not np.all(t <= 1 + 1e-12):
         raise ValueError("points must lie in the closed unit ball")
-    y = basis(m, psi.k).elements[i - 1].evaluate_coeffs(x)
+    y = basis(m, psi.k).elements[i - 1]
+    if psi.parity == "odd":
+        y = PolyMultivector.vector(m) * y
     radial = psi.radial_poly_values(np.ravel(t)).reshape(t.shape)
-    if psi.parity == "even":
-        return radial[..., None] * y
-    return radial[..., None] * mul_coeffs(m, embed_coeffs(m, x), y)
+    return radial[..., None] * y.evaluate_coeffs(x)
 
 
 def eval_field(psi: Cpswf, i: int, x) -> Multivector:

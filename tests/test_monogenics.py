@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from cliffordprolate.algebra import embed_coeffs, mul_coeffs
 from cliffordprolate.monogenics import (
     PolyMultivector,
     _sphere_clifford_inner,
@@ -12,6 +13,7 @@ from cliffordprolate.monogenics import (
     dim_monogenic,
     dirac,
 )
+from cliffordprolate.prolate import eval_field_coeffs, make_cpswf
 from cliffordprolate.special import sphere_area, sphere_rule
 
 from oracles import scalar_inner_coeffs
@@ -99,3 +101,98 @@ def test_dirac_product_rule_example():
         val = d.evaluate_coeffs(np.zeros(m))
         assert abs(val[0] + m) < 1e-14
         assert np.max(np.abs(val[1:])) < 1e-14
+
+
+def _random_poly(rng, m: int) -> PolyMultivector:
+    """A sparse polynomial of degree <= 4 with complex coefficients on
+    about half of the blades."""
+    terms = {}
+    for _ in range(rng.integers(1, 7)):
+        a = rng.multinomial(rng.integers(0, 5), np.ones(m) / m)
+        c = rng.standard_normal(1 << m) + 1j * rng.standard_normal(1 << m)
+        terms[tuple(a)] = c * (rng.random(1 << m) < 0.5)
+    return PolyMultivector(m, terms)
+
+
+def _evaluate_by_terms(p: PolyMultivector, x: np.ndarray) -> np.ndarray:
+    """Reference evaluation, one monomial at a time."""
+    out = np.zeros(x.shape[:-1] + (1 << p.m,), dtype=complex)
+    for a, c in p.terms.items():
+        out += np.prod(x ** np.array(a), axis=-1)[..., None] * c
+    return out
+
+
+def _close(got, ref, rel=1e-13):
+    return np.max(np.abs(got - ref)) <= rel * max(np.max(np.abs(ref)), 1.0)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_evaluation_is_a_ring_homomorphism(m):
+    rng = np.random.default_rng(40 + m)
+    x = rng.uniform(-1, 1, (25, m))
+    g = rng.standard_normal(1 << m) + 1j * rng.standard_normal(1 << m)
+    s = complex(rng.standard_normal(), rng.standard_normal())
+    for _ in range(20):
+        p, q = _random_poly(rng, m), _random_poly(rng, m)
+        pv, qv = p.evaluate_coeffs(x), q.evaluate_coeffs(x)
+        assert _close(pv, _evaluate_by_terms(p, x))
+        assert _close((p + q).evaluate_coeffs(x), pv + qv)
+        assert _close((p - q).evaluate_coeffs(x), pv - qv)
+        assert _close((p * q).evaluate_coeffs(x), mul_coeffs(m, pv, qv))
+        assert _close(p.left_mul(g).evaluate_coeffs(x), mul_coeffs(m, g, pv))
+        assert _close(p.right_mul(g).evaluate_coeffs(x), mul_coeffs(m, pv, g))
+        assert _close(p.scale(s).evaluate_coeffs(x), s * pv)
+        assert _close(p.evaluate_coeffs(x[0]), pv[0])
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_dirac_matches_central_differences(m):
+    rng = np.random.default_rng(50 + m)
+    x = rng.uniform(-1, 1, (10, m))
+    h = 1e-4
+    for _ in range(10):
+        p = _random_poly(rng, m)
+        ref = np.zeros(x.shape[:-1] + (1 << m,), dtype=complex)
+        for j in range(m):
+            step = h * np.eye(m)[j]
+            dj = (p.evaluate_coeffs(x + step) - p.evaluate_coeffs(x - step)) / (2 * h)
+            ref += mul_coeffs(m, np.eye(1 << m)[1 << j], dj)
+        assert _close(dirac(p).evaluate_coeffs(x), ref, rel=1e-7)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_terms_round_trip_and_canonical_rows(m):
+    rng = np.random.default_rng(60 + m)
+    for _ in range(10):
+        p = _random_poly(rng, m)
+        q = PolyMultivector(m, p.terms)
+        assert np.array_equal(q.exps, p.exps) and np.array_equal(q.coeffs, p.coeffs)
+        assert len(np.unique(p.exps, axis=0)) == len(p.exps)
+        assert np.all(np.any(p.coeffs != 0, axis=1))
+        assert not p.exps.flags.writeable and not p.coeffs.flags.writeable
+        assert all(not c.flags.writeable for c in p.terms.values())
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_zero_polynomial(m):
+    x = PolyMultivector.vector(m)
+    pts = np.random.default_rng(70).uniform(-1, 1, (7, m))
+    for zero in (x - x, PolyMultivector(m), dirac(PolyMultivector.constant(m, 2.0)),
+                 x.scale(0.0), PolyMultivector(m, {(1,) * m: np.zeros(1 << m)})):
+        assert zero.terms == {} and zero.exps.shape == (0, m)
+        assert zero.degree() == -1 and zero.max_coeff() == 0.0 and zero.is_homogeneous()
+        assert np.array_equal(zero.evaluate_coeffs(pts), np.zeros((7, 1 << m)))
+        assert np.array_equal(zero.evaluate_coeffs(pts[0]), np.zeros(1 << m))
+
+
+@pytest.mark.parametrize("m,k", [(2, 4), (3, 3)])
+def test_odd_field_is_vector_times_basis(m, k):
+    # the field path evaluates the one polynomial x Y; the reference
+    # multiplies the embedded points into Y(x) point by point
+    psi = make_cpswf(1, k, m, 1.0)
+    rng = np.random.default_rng(80 + m)
+    x = rng.uniform(-1, 1, (60, m)) / math.sqrt(m)
+    radial = psi.radial_poly_values(np.sum(x ** 2, axis=-1))
+    for i, y in enumerate(basis(m, k).elements, start=1):
+        ref = radial[:, None] * mul_coeffs(m, embed_coeffs(m, x), y.evaluate_coeffs(x))
+        assert _close(eval_field_coeffs(psi, i, x), ref, rel=1e-14)

@@ -49,6 +49,24 @@ def test_kernel_Kc_at_origin():
         assert abs(kernel_Kc(np.zeros(m), 2.0, m) - ball_volume(m)) < 1e-14
 
 
+@pytest.mark.parametrize("x, c, m", [
+    ([0.5, 0.0], -1.0, 2), ([0.5, 0.0], math.nan, 2), ([0.5, 0.0], math.inf, 2),
+    ([math.nan, 0.0], 1.0, 2), ([math.inf, 0.0], 1.0, 2),
+    ([0.5, 0.0, 0.0], 1.0, 2), ([0.5, 0.0], 1.0, 3), (0.5, 1.0, 2),
+])
+def test_kernel_Kc_rejects_bad_input(x, c, m):
+    # a negative c used to take the origin branch and return |B(1)|
+    with pytest.raises(ValueError):
+        kernel_Kc(x, c, m)
+
+
+def test_kernel_Kc_at_zero_bandwidth():
+    for m in (2, 3):
+        x = np.full(m, 0.5)
+        assert kernel_Kc(x, 0.0, m) == ball_volume(m)
+        assert abs(kernel_Kc(x, 1e-12, m) - ball_volume(m)) < 1e-14
+
+
 def test_hankel_apply_against_brute():
     f = lambda r: 1 - r ** 2
     rule = gauss_rule_unit_interval(256)

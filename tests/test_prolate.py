@@ -175,6 +175,17 @@ def test_range_checks_reject_out_of_range_and_nan(name, value):
         call(make_cpswf(1, 1, 2, 1.0), value)
 
 
+@pytest.mark.parametrize("n", [0, 1])
+@pytest.mark.parametrize("shape", [(4, 2), (4, 4), (2,), ()])
+def test_field_rejects_points_of_the_wrong_dimension(n, shape):
+    psi = make_cpswf(n, 1, 3, 1.0)
+    x = np.zeros(shape)
+    with pytest.raises(ValueError, match=r"points must have shape \(\.\.\., 3\)"):
+        eval_field_coeffs(psi, 1, x)
+    with pytest.raises(ValueError, match=r"points must have shape \(\.\.\., 3\)"):
+        eval_field(psi, 1, x)
+
+
 def test_lambda_matches_high_precision_oracle():
     # p_i(0) grows like i^(k+m/2-1/2): a cut on |alpha_i| alone drops tail
     # terms that still move P(0) and lambda (by 2.9e-9 relative here)
