@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .galerkin import _check_ints
 from .monogenics import dim_monogenic
 from .prolate import cpswf_blocks
 from .prolate import make_cpswf  # noqa: F401  (kept for the benchmark's span hooks)
@@ -51,9 +52,12 @@ def partial_sum(m: int, c: float, K: int, N: int, t_grid,
                 tol: float | None = None) -> AccumulationSum:
     """Truncated accumulation sum over k <= K and radial order N' <= N
     for both parities, evaluated at the given t = |x|^2 grid points."""
+    _check_ints(K=K, N=N)
     if K < 0 or N < 0 or c <= 0:
         raise ValueError("require K >= 0, N >= 0, c > 0")
     t = np.atleast_1d(np.asarray(t_grid, dtype=float))
+    if t.ndim != 1:
+        raise ValueError(f"t grid must be a scalar or 1-D, got shape {t.shape}")
     if not np.all((0 <= t) & (t <= 1)):
         raise ValueError("t grid must lie in [0, 1]")
     total = np.zeros_like(t)

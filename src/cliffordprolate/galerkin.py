@@ -10,10 +10,9 @@ differential eigenvalues chi.
 The two families satisfy M^o_k = M^e_(k+1) + (4k+2m) I, hence
 chi_(2N+1)^k = chi_(2N)^(k+1) + 4k + 2m and beta^k_N = alpha^(k+1)_N.
 
-solve_block is the one solver: it converges every order 0..N_max of one
-(parity, k) together, with one adaptive truncation and one eigensolve of
-the N_max + 1 lowest eigenpairs per size.  An odd block is the even block
-of degree k + 1, shifted (as_odd), and solve_radial is one order of a block.
+solve_block is the one solver: one adaptive truncation, with one eigensolve
+per size, gives every order 0..N_max of a (parity, k) as one record.  An odd
+block is the even block of degree k + 1, shifted (as_odd).
 """
 
 from __future__ import annotations
@@ -60,15 +59,22 @@ class SymTridiag:
 
 @dataclass(frozen=True)
 class RadialEigenpair:
-    chi: float
+    """Read-only eigenpairs of one truncated matrix: chi (N_max+1,) and coeffs
+    (T, N_max+1) for a block; block[N] is order N, chi a float, coeffs (T,)."""
+
+    chi: float | np.ndarray
     coeffs: np.ndarray
-    truncation: int
-    convergence: float
 
     def __post_init__(self):
-        c = np.array(self.coeffs, dtype=float)  # contiguous, not a view into a block
-        c.setflags(write=False)
-        object.__setattr__(self, "coeffs", c)
+        self.coeffs.setflags(write=False)
+        np.asarray(self.chi).setflags(write=False)  # an order's float chi: a no-op
+
+    @property
+    def truncation(self) -> int:
+        return self.coeffs.shape[0]
+
+    def __getitem__(self, N: int) -> RadialEigenpair:
+        return RadialEigenpair(float(self.chi[N]), self.coeffs[:, N])
 
 
 def build_even(k: int, m: int, c: float, T: int) -> SymTridiag:
@@ -115,8 +121,15 @@ def build(parity: str, k: int, m: int, c: float, T: int) -> SymTridiag:
     raise ValueError("parity must be 'even' or 'odd'")
 
 
+def _check_ints(**values) -> None:
+    for name, v in values.items():
+        for x in v if isinstance(v, list) else [v]:
+            if not isinstance(x, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {x!r}")
+
+
 def solve_block(parity: str, k: int, m: int, c: float, N_max: int,
-                tol: float | None = None) -> tuple[RadialEigenpair, ...]:
+                tol: float | None = None) -> RadialEigenpair:
     """Converged eigenpairs of orders N = 0..N_max from one adaptive truncation.
 
     Doubles the truncation from T0 = 2 N_max + 16 + ceil(2c); each size
@@ -128,10 +141,13 @@ def solve_block(parity: str, k: int, m: int, c: float, N_max: int,
     as_odd).  Raises ConvergenceError when the truncation would pass the
     cap, before any eigensolve if the first doubling already does.
     """
+    _check_ints(k=k, m=m, N=N_max)
     if not math.isfinite(c):
         raise ValueError(f"c must be finite, got {c}")
     if N_max < 0 or k < 0 or c < 0:
         raise ValueError("require N >= 0, k >= 0, c >= 0")
+    if m < 2:
+        raise ValueError(f"m must be >= 2, got {m}")
     if parity not in ("even", "odd"):
         raise ValueError("parity must be 'even' or 'odd'")
     tol = default_tol() if tol is None else tol
@@ -161,23 +177,21 @@ def solve_block(parity: str, k: int, m: int, c: float, N_max: int,
                 np.max(np.abs(mat.diag)) + 2 * np.max(np.abs(mat.offdiag), initial=0.0))
             if (np.all(drift <= tol * (1 + np.abs(chi2)) + floor)
                     and np.all(np.abs(vecs[-1]) <= tol)):
-                cols = np.arange(N_max + 1)
-                vecs = vecs * np.sign(vecs[np.argmax(np.abs(vecs), axis=0), cols])
-                block = tuple(RadialEigenpair(float(chi2[j]), vecs[:, j], T, float(drift[j]))
-                              for j in cols)
+                big = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(N_max + 1)]
+                block = RadialEigenpair(chi2, vecs * np.sign(big))
                 return as_odd(block, k, m) if parity == "odd" else block
         chi = chi2
     raise failure
 
 
-def as_odd(even_next: tuple[RadialEigenpair, ...], k: int, m: int):
+def as_odd(even_next: RadialEigenpair, k: int, m: int) -> RadialEigenpair:
     """The odd block of degree k from the even block of degree k + 1.
 
     M^o_k = M^e_(k+1) + (4k+2m) I, so beta^k_N = alpha^(k+1)_N and chi moves
     by 4k + 2m.  Converging the unshifted matrix is the stricter test: its
     relative drift bound and its noise floor are both smaller.
     """
-    return tuple(replace(p, chi=p.chi + (4 * k + 2 * m)) for p in even_next)
+    return replace(even_next, chi=even_next.chi + (4 * k + 2 * m))
 
 
 def solve_radial(parity: str, k: int, m: int, c: float, N: int,

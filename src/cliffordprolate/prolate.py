@@ -11,22 +11,21 @@ chi), of the finite Fourier transform G_c (eigenvalue mu, with phase
 i^(k+n) up to a sign convention), and of the time-frequency limiting
 operator QP_c = c^m G_c* G_c (eigenvalue lambda = c^m |mu|^2).
 
-make_cpswf builds one record; cpswf_blocks builds every order 0..n_max of
-each degree k from one even block solve per degree and one radial value
-table per degree, which also carries the t = 0 row that mu and lambda need.
+make_cpswf builds one record and cpswf_blocks every order 0..n_max of each
+degree k, both a whole Galerkin block at a time (_block_cpswfs).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
 from .algebra import Multivector
 from .algebra import mul_coeffs  # noqa: F401  (kept for the benchmark's span hooks)
-from .galerkin import RadialEigenpair, as_odd, solve_block, solve_radial
+from .galerkin import RadialEigenpair, _check_ints, as_odd, solve_block
+from .galerkin import solve_radial  # noqa: F401  (kept for the benchmark's span hooks)
 from .legendre import radial_series, radial_values
 from .monogenics import PolyMultivector, basis, dim_monogenic
 from .special import gamma_fn
@@ -34,9 +33,7 @@ from .special import gamma_fn
 
 @dataclass(frozen=True)
 class Cpswf:
-    """One CPSWF: its order, degree, dimension, bandwidth and radial
-    eigenpair, plus the radial basis at t = 0, p_i(0) (even) or q_i(0)
-    (odd) for i < truncation, from which mu and lambda follow."""
+    """One CPSWF; _block_cpswfs builds it with the other orders of its block."""
 
     n: int
     k: int
@@ -44,11 +41,10 @@ class Cpswf:
     c: float
     pair: RadialEigenpair
     basis_at_zero: np.ndarray = field(repr=False, compare=False)
-
-    def __post_init__(self):
-        z = np.array(self.basis_at_zero, dtype=float)  # contiguous, not a table column
-        z.setflags(write=False)
-        object.__setattr__(self, "basis_at_zero", z)
+    _active: int
+    value_at_zero: float
+    mu: complex
+    lam: float
 
     @property
     def parity(self) -> str:
@@ -66,69 +62,57 @@ class Cpswf:
     def chi(self) -> float:
         return self.pair.chi
 
-    @cached_property
-    def _active(self) -> int:
-        """Number of leading coefficients that matter for evaluation.
-
-        On [0, 1], |p_i(t)| and |q_i(t)| peak at t = 0, so |alpha_i p_i(0)|
-        bounds what term i adds anywhere; terms below 1e-16 of the largest
-        bound are dropped.  The cut cannot follow |alpha_i| alone: p_i(0)
-        grows like i^(k+m/2-1/2), and the dropped tail would move P(0),
-        hence mu and lambda.
-        """
-        bound = np.abs(self.coeffs * self.basis_at_zero)
-        keep = np.nonzero(bound > 1e-16 * bound.max())[0]
-        return int(keep[-1]) + 1
-
     def radial_poly_values(self, t) -> np.ndarray:
         """P(t) (even) or Q(t) (odd): the t-polynomial radial factor."""
         t = np.atleast_1d(np.asarray(t, dtype=float))
         return radial_series(self.k, self.m, self.parity, self.coeffs[:self._active], t)
 
-    @cached_property
-    def value_at_zero(self) -> float:
-        """P(0) or Q(0) (without the odd r-prefactor)."""
-        na = self._active
-        return float(self.coeffs[:na] @ self.basis_at_zero[:na])
 
-    @cached_property
-    def mu(self) -> complex:
-        """Eigenvalue of the finite Fourier transform G_c.
+def _block_cpswfs(block: RadialEigenpair, zero: np.ndarray, odd: int,
+                  k: int, m: int, c: float) -> list[Cpswf]:
+    """The CPSWFs of orders n = 2N + odd of one parity block, from its
+    radial basis at t = 0, p_i(0) (even) or q_i(0) (odd).
 
-        One closed form in kappa = k + (n mod 2), the leading coefficient
-        and the radial value at zero: an odd order of degree k is the even
-        family of degree k + 1 (galerkin.as_odd, q^k_N = -p^(k+1)_N), so
-        it takes the even form at kappa with the sign flipped.  The phase
-        is i^kappa times a real sign.  The overall constant is pinned
-        against direct quadrature of the defining integral (see
-        operators.verify and the test oracles).
-        """
-        m, c = self.m, self.c
-        kappa = self.k + self.n % 2
-        phase = -(1j ** kappa) if self.n % 2 else 1j ** kappa
-        num = phase * math.sqrt(2 * kappa + m) * math.pi ** (kappa + m / 2) * c ** kappa
-        return complex(num * self.coeffs[0]
-                       / (gamma_fn(kappa + m / 2 + 1) * self.value_at_zero))
+    _active counts the leading coefficients that matter: on [0, 1],
+    |alpha_i p_i(t)| peaks at t = 0, and terms below 1e-16 of the largest
+    such bound are dropped.  A cut on |alpha_i| alone would move P(0), as
+    p_i(0) grows like i^(k+m/2-1/2).  value_at_zero is P(0) or Q(0).
+    mu, the eigenvalue of G_c, is one closed form in kappa = k + odd: an odd
+    order of degree k is the even family of degree k + 1 (galerkin.as_odd,
+    q^k_N = -p^(k+1)_N) with the sign flipped.  Its phase is i^kappa times
+    a real sign; the constant is pinned against quadrature of the defining
+    integral (operators.verify, the test oracles).  lam = c^m |mu|^2.
+    """
+    zero = np.array(zero[:block.truncation])  # BLAS rounds a strided dot differently
+    zero.setflags(write=False)
+    bound = np.abs(block.coeffs * zero[:, None])
+    keep = bound > 1e-16 * bound.max(axis=0)
+    active = (block.truncation - np.argmax(keep[::-1], axis=0)).tolist()
+    at_zero = [float(block.coeffs[:na, j] @ zero[:na]) for j, na in enumerate(active)]
+    kappa = k + odd
+    phase = -(1j ** kappa) if odd else 1j ** kappa
+    num = phase * math.sqrt(2 * kappa + m) * math.pi ** (kappa + m / 2) * c ** kappa
+    den = gamma_fn(kappa + m / 2 + 1)
+    # Python complex / float per order: numpy's complex division rounds differently
+    mus = [num * a / (den * v) for a, v in zip(block.coeffs[0].tolist(), at_zero)]
+    return [Cpswf(2 * N + odd, k, m, c, block[N], zero, na, v, mu, c ** m * abs(mu) ** 2)
+            for N, (na, v, mu) in enumerate(zip(active, at_zero, mus))]
 
-    @cached_property
-    def lam(self) -> float:
-        """Concentration eigenvalue lambda = c^m |mu|^2 of QP_c."""
-        return float(self.c ** self.m * abs(self.mu) ** 2)
 
-
-def _check_order(n: int, k: int, c: float) -> None:
-    if n < 0 or k < 0:
+def _check_order(n: int, ks: list, c: float) -> None:
+    _check_ints(n=n, k=ks)
+    if n < 0 or min(ks, default=0) < 0:
         raise ValueError("require n >= 0 and k >= 0")
     if c <= 0:
         raise ValueError("require c > 0 (the c = 0 spectrum is pure Legendre)")
 
 
 def make_cpswf(n: int, k: int, m: int, c: float, tol: float | None = None) -> Cpswf:
-    """Construct the order-n CPSWF record from the Galerkin eigenproblem."""
-    _check_order(n, k, c)
-    pair = solve_radial("even" if n % 2 == 0 else "odd", k, m, c, n // 2, tol)
-    pv, qv = radial_values(k, m, pair.truncation - 1, np.zeros(1))
-    return Cpswf(n, k, m, float(c), pair, (pv if n % 2 == 0 else qv)[:, 0])
+    """The order-n CPSWF: the last order of its one-parity Galerkin block."""
+    _check_order(n, [k], c)
+    block = solve_block("even" if n % 2 == 0 else "odd", k, m, c, n // 2, tol)
+    table = radial_values(k, m, block.truncation - 1, np.zeros(1))[n % 2]
+    return _block_cpswfs(block, table[:, 0], n % 2, k, m, float(c))[-1]
 
 
 def cpswf_blocks(m: int, c: float, ks, n_max: int, tol: float | None = None, t=()):
@@ -137,14 +121,14 @@ def cpswf_blocks(m: int, c: float, ks, n_max: int, tol: float | None = None, t=(
     (odd n), an array of shape (n_max+1,) + t.shape.
 
     Each degree takes one even block solve of orders 0..n_max//2 (see
-    galerkin.solve_block).  Its odd block is the even block of degree
-    k + 1 (galerkin.as_odd), which the next degree of ks reuses, so the
-    degrees 0..K take K + 2 solves.  One radial_values table per degree,
-    with t = 0 in its first column, gives every order its mu, its lambda
-    and its values.  chi, mu and lambda equal make_cpswf's whenever the
-    solves do.
+    galerkin.solve_block); its odd block is the even block of degree k + 1
+    (galerkin.as_odd), which the next degree of ks reuses, so degrees 0..K
+    take K + 2 solves.  One radial_values table per degree, with t = 0 in
+    its first column, gives every order its mu, lambda and values; these
+    equal make_cpswf's whenever the solves do.
     """
-    _check_order(n_max, min(ks, default=0), c)
+    ks = list(ks)
+    _check_order(n_max, ks, c)
     t = np.asarray(t, dtype=float)
     points = np.concatenate(([0.0], t.ravel()))
     ahead = None  # (k + 1, its even block), for the next degree to reuse
@@ -154,14 +138,12 @@ def cpswf_blocks(m: int, c: float, ks, n_max: int, tol: float | None = None, t=(
         if n_max > 0:
             ahead = (k + 1, solve_block("even", k + 1, m, c, n_max // 2, tol))
             blocks.append(as_odd(ahead[1], k, m))
-        T = max(pair.truncation for block in blocks for pair in block)
-        tables = radial_values(k, m, T - 1, points)
-        psis, values = [], []
-        for n in range(n_max + 1):
-            pair, table = blocks[n % 2][n // 2], tables[n % 2]
-            psi = Cpswf(n, k, m, float(c), pair, table[:pair.truncation, 0])
-            psis.append(psi)
-            values.append(psi.coeffs[:psi._active] @ table[:psi._active, 1:])
+        tables = radial_values(k, m, max(b.truncation for b in blocks) - 1, points)
+        by_parity = [_block_cpswfs(b, table[:, 0], odd, k, m, float(c))
+                     for odd, (b, table) in enumerate(zip(blocks, tables))]
+        psis = [by_parity[n % 2][n // 2] for n in range(n_max + 1)]
+        values = [psi.coeffs[:psi._active] @ tables[n % 2][:psi._active, 1:]
+                  for n, psi in enumerate(psis)]
         yield k, psis, np.reshape(values, (n_max + 1,) + t.shape)
 
 

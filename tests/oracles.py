@@ -26,7 +26,8 @@ from cliffordprolate.legendre import RadialPoly, radial_sequence
 from cliffordprolate.monogenics import PolyMultivector, basis, dirac
 from cliffordprolate.operators import _default_rule, _psi_setup, transform_matrix
 from cliffordprolate.prolate import Cpswf, eval_field_coeffs
-from cliffordprolate.special import QuadratureRule, gauss_rule_unit_interval, sphere_rule
+from cliffordprolate.special import (QuadratureRule, gamma_fn, gauss_rule_unit_interval,
+                                    sphere_rule)
 
 
 def jacobi_eigenvalues(A: np.ndarray, tol: float = 1e-14,
@@ -257,6 +258,22 @@ def dense_order(n: int, k: int, m: int, c: float, T: int):
     with mp.workdps(30):
         lam = float(_lambda(parity, k, m, mp.mpf(c), v, at_zero))
     return float(vals[n // 2]), v, lam
+
+
+def order_quantities(n: int, k: int, m: int, c: float, pair, basis_at_zero):
+    """(_active, value_at_zero, mu, lam) of psi_n^k computed one order at a
+    time from its own eigenpair and radial basis at zero: the per-order
+    formulas that prolate._block_cpswfs computes for a whole block."""
+    coeffs = np.array(pair.coeffs, dtype=float)
+    at_zero = np.array(basis_at_zero, dtype=float)
+    bound = np.abs(coeffs * at_zero)
+    active = int(np.nonzero(bound > 1e-16 * bound.max())[0][-1]) + 1
+    value = float(coeffs[:active] @ at_zero[:active])
+    kappa = k + n % 2
+    phase = -(1j ** kappa) if n % 2 else 1j ** kappa
+    num = phase * math.sqrt(2 * kappa + m) * math.pi ** (kappa + m / 2) * c ** kappa
+    mu = complex(num * coeffs[0] / (gamma_fn(kappa + m / 2 + 1) * value))
+    return active, value, mu, float(c ** m * abs(mu) ** 2)
 
 
 def apply_L0_radial(p: RadialPoly, parity: str, k: int, m: int) -> RadialPoly:

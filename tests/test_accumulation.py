@@ -58,6 +58,14 @@ def test_validation():
         partial_sum(2, 1.0, 1, 1, [1.5])
 
 
+def test_partial_sum_names_a_grid_that_is_not_1d():
+    with pytest.raises(ValueError, match=r"^t grid must be a scalar or 1-D, got shape \(2, 3\)$"):
+        partial_sum(2, 1.0, 1, 1, np.full((2, 3), 0.5))
+    scalar = partial_sum(2, 1.0, 1, 1, 0.5)
+    assert scalar.values.shape == (1,)
+    assert np.array_equal(scalar.values, partial_sum(2, 1.0, 1, 1, [0.5]).values)
+
+
 def test_partial_sum_stays_below_its_limit():
     # every term is nonnegative; a lambda biased high by a truncated
     # value at zero pushed this sum 1.2e-10 past its limit

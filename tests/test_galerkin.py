@@ -189,3 +189,13 @@ def test_odd_block_is_the_shifted_even_block():
         assert o.chi == shifted.chi == e.chi + 4 * k + 2 * m
         assert np.array_equal(o.coeffs, e.coeffs)
         assert o.truncation == e.truncation
+
+
+def test_block_arrays_are_read_only():
+    even = solve_block("even", 2, 3, 1.5, 3)
+    odd = solve_block("odd", 1, 3, 1.5, 3)
+    for block in (even, odd, as_odd(even, 1, 3)):
+        assert block.chi.shape == (4,) and block.coeffs.shape == (block.truncation, 4)
+        for a in (block.chi, block.coeffs, block[2].coeffs):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 1.0

@@ -7,6 +7,7 @@ import pytest
 
 from cliffordprolate.accumulation import partial_sum
 from cliffordprolate.algebra import Multivector, embed
+from cliffordprolate.galerkin import solve_block
 from cliffordprolate.legendre import radial_values
 from cliffordprolate.monogenics import basis
 from cliffordprolate.prolate import (
@@ -18,7 +19,7 @@ from cliffordprolate.prolate import (
 )
 from cliffordprolate.special import gauss_rule_unit_interval
 
-from oracles import lambda_mp, scalar_inner_coeffs
+from oracles import lambda_mp, order_quantities, scalar_inner_coeffs
 
 
 def test_basic_attributes():
@@ -233,3 +234,85 @@ def test_blocks_validate_like_make_cpswf():
         next(cpswf_blocks(2, 0.0, [0], 1))
     with pytest.raises(ValueError, match="require n >= 0"):
         next(cpswf_blocks(2, 1.0, [-1], 1))
+
+
+def _bits(*values):
+    """Each float, and each part of a complex, as its exact hex form."""
+    return [float(x).hex() for v in values
+            for x in ((v.real, v.imag) if isinstance(v, complex) else (v,))]
+
+
+def test_records_equal_the_per_order_formulas():
+    # every record is built a whole block at a time; each must equal what its
+    # own eigenpair and radial basis at zero give one order at a time, to the bit
+    count = 0
+    for m in (2, 3, 5):
+        for c in (0.5, 4.0, 20.0):
+            for k in (0, 5, 19):
+                [(_, psis, _)] = cpswf_blocks(m, c, [k], 9)
+                for psi in psis + [make_cpswf(n, k, m, c) for n in (0, 1, 6, 9)]:
+                    got = (psi._active, psi.value_at_zero, psi.mu, psi.lam)
+                    ref = order_quantities(psi.n, k, m, c, psi.pair, psi.basis_at_zero)
+                    assert [type(v) for v in got] == [int, float, complex, float]
+                    assert got[0] == ref[0] and _bits(*got[1:]) == _bits(*ref[1:])
+                    T = psi.pair.truncation
+                    zero = radial_values(k, m, T - 1, np.zeros(1))[psi.n % 2][:, 0]
+                    assert np.array_equal(psi.basis_at_zero, zero)
+                    count += 1
+    assert count == 378
+
+
+def test_orders_of_a_block_share_one_read_only_basis_at_zero():
+    [(_, psis, _)] = cpswf_blocks(3, 2.0, [1], 5)
+    for parity in (0, 1):
+        shared = psis[parity].basis_at_zero
+        assert all(psi.basis_at_zero is shared for psi in psis[parity::2])
+        with pytest.raises(ValueError):
+            shared[0] = 1.0
+
+
+@pytest.mark.parametrize("n", [0, 1, 6, 9])
+def test_make_cpswf_is_order_n_of_its_block(n):
+    psi = make_cpswf(n, 5, 3, 4.0)
+    block = solve_block(psi.parity, 5, 3, 4.0, n // 2)
+    assert isinstance(psi.chi, float) and psi.chi == block.chi[n // 2]
+    assert np.array_equal(psi.coeffs, block.coeffs[:, n // 2])
+    assert psi.pair.truncation == block.truncation
+
+
+def test_blocks_accept_one_shot_degrees():
+    # degrees are read once, so validating them must not exhaust an iterator
+    t = np.linspace(0, 1, 4)
+    runs = [list(cpswf_blocks(2, 1.0, ks, 3, t=t))
+            for ks in (range(2), [0, 1], iter([0, 1]), (k for k in range(2)))]
+    for run in runs:
+        assert [k for k, _, _ in run] == [0, 1]
+        for (_, psis, values), (_, ref, ref_values) in zip(run, runs[0]):
+            assert [(p.chi, p.mu, p.lam) for p in psis] == [(p.chi, p.mu, p.lam) for p in ref]
+            assert np.array_equal(values, ref_values)
+
+
+NON_INTEGER = [
+    ("k must be an integer, got 1.5", lambda: make_cpswf(0, 1.5, 2, 1.0)),
+    ("m must be an integer, got 2.5", lambda: make_cpswf(0, 0, 2.5, 1.0)),
+    ("n must be an integer, got 1.5", lambda: make_cpswf(1.5, 0, 2, 1.0)),
+    ("m must be >= 2, got 0", lambda: make_cpswf(0, 0, 0, 1.0)),
+    ("m must be >= 2, got 1", lambda: make_cpswf(0, 0, 1, 1.0)),
+    ("n must be an integer, got 2.5", lambda: next(cpswf_blocks(2, 1.0, [0], 2.5))),
+    ("k must be an integer, got 0.5", lambda: next(cpswf_blocks(2, 1.0, [0, 0.5], 1))),
+    ("N must be an integer, got 1.0", lambda: solve_block("even", 0, 2, 1.0, 1.0)),
+    ("K must be an integer, got 1.5", lambda: partial_sum(2, 1.0, 1.5, 1, [0.1])),
+    ("N must be an integer, got 0.5", lambda: partial_sum(2, 1.0, 1, 0.5, [0.1])),
+]
+
+
+@pytest.mark.parametrize("message, call", NON_INTEGER, ids=[m for m, _ in NON_INTEGER])
+def test_non_integer_orders_degrees_and_dimensions_are_named(message, call):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
+def test_numpy_integers_are_accepted():
+    one = make_cpswf(np.int64(3), np.int32(1), np.int64(3), 1.5)
+    ref = make_cpswf(3, 1, 3, 1.5)
+    assert (one.chi, one.mu, one.lam) == (ref.chi, ref.mu, ref.lam)
