@@ -10,9 +10,11 @@ differential eigenvalues chi.
 The two families satisfy M^o_k = M^e_(k+1) + (4k+2m) I, hence
 chi_(2N+1)^k = chi_(2N)^(k+1) + 4k + 2m and beta^k_N = alpha^(k+1)_N.
 
-solve_block is the one solver: one adaptive truncation, with one eigensolve
-per size, gives every order 0..N_max of a (parity, k) as one record.  An odd
-block is the even block of degree k + 1, shifted (as_odd).
+solve_block is the one solver: one eigensolve of a truncated matrix gives
+every order 0..N_max of a (parity, k) as one record, accepted at the first
+truncation whose residual certificate holds (the truncation doubles only
+when it does not).  An odd block is the even block of degree k + 1, shifted
+(as_odd).
 """
 
 from __future__ import annotations
@@ -130,16 +132,36 @@ def _check_ints(**values) -> None:
 
 def solve_block(parity: str, k: int, m: int, c: float, N_max: int,
                 tol: float | None = None) -> RadialEigenpair:
-    """Converged eigenpairs of orders N = 0..N_max from one adaptive truncation.
+    """Certified eigenpairs of orders N = 0..N_max from one truncated matrix.
 
-    Doubles the truncation from T0 = 2 N_max + 16 + ceil(2c); each size
-    takes one eigensolve of the N_max + 1 lowest eigenpairs.  It stops when,
-    for every order of the block, the eigenvalue is stable to tol relative
-    and the trailing coefficient is below tol.  Sign convention: the entry
-    of largest magnitude of each eigenvector is made positive.  An odd block
-    is the even block of degree k + 1 with chi shifted by 4k + 2m (see
-    as_odd).  Raises ConvergenceError when the truncation would pass the
-    cap, before any eigensolve if the first doubling already does.
+    Tries T = T0 * 2^i <= T_CAP, T0 = 2 N_max + 16 + ceil(2c), and takes one
+    eigensolve per size: the N_max + 2 lowest eigenpairs (chi_j, v_j) of the
+    leading T x T part M_T of the infinite matrix M.  Padded with zeros, v_j
+    is an eigenvector of M up to the residual r_j = |M[T-1, T]| |v_j[T-1]|,
+    as row T is the only row of M that it misses; so M has an eigenvalue in
+    chi_j +- rho_j, rho_j = r_j + floor, where the floor 8 eps ||M_T|| covers
+    the eigensolver's own error.  The first size is accepted where
+
+    - r_j <= tol (1 + |chi_j|) + floor for every order j <= N_max;
+    - |v_j[T-1]| <= tol, and |v_j[T-1]| p_(T-1)(0) <= max(tol, eps)
+      max_i |v_j[i]| p_i(0), for every j <= N_max: p_i(0) is the largest
+      value of the i-th basis polynomial on [0, 1], so the dropped tail is
+      below tol of the radial factor it builds, or below its rounding;
+    - the intervals chi_j +- rho_j of j = 0..N_max + 1 are disjoint;
+    - M has exactly N_max + 1 eigenvalues below theta, the middle of the gap
+      between the intervals of N_max and N_max + 1 (see _certified).
+
+    Then the eigenvalue of M in the j-th interval is the j-th: the intervals
+    0..N_max lie below theta, and each holds at least one of the N_max + 1
+    eigenvalues there.  Min-max adds chi_j(M) <= chi_j, and theta bounds
+    chi_(N_max+1)(M) from below, the gap in the residual bound on each
+    eigenvector's angle.  Otherwise the truncation doubles.
+
+    Sign convention: the entry of largest magnitude of each eigenvector is
+    made positive.  An odd block is the even block of degree k + 1 with chi
+    shifted by 4k + 2m (see as_odd).  Raises ConvergenceError when the
+    truncation would pass the cap, before any eigensolve if the ladder has
+    no room for a doubling.
     """
     _check_ints(k=k, m=m, N=N_max)
     if not math.isfinite(c):
@@ -158,38 +180,74 @@ def solve_block(parity: str, k: int, m: int, c: float, N_max: int,
         sizes.append(2 * sizes[-1])
     failure = ConvergenceError(f"truncation exceeded {T_CAP} for (parity={parity}, "
                                f"k={k}, m={m}, c={c}, N={N_max})")
-    if len(sizes) < 2:  # converging takes two sizes; fail before solving either
+    if len(sizes) < 2:  # keep room for one doubling; fail before any solve
         raise failure
     kk = k + 1 if parity == "odd" else k
-    chi = None
+    h = m / 2
+    # log |p_i(0)| up to a constant, from the ratio of successive Bonnet
+    # values at t = 0 (legendre); the odd basis has |q^k_i(0)| = |p^(k+1)_i(0)|
+    i = np.arange(sizes[-1] - 1)
+    log_p0 = np.concatenate(([0.0], np.cumsum(np.log(
+        (i + kk + h) / (i + 1) * np.sqrt((4 * i + 2 * kk + m + 4) / (4 * i + 2 * kk + m))))))
     for T in sizes:
-        mat = build("even", kk, m, c, T)
+        mat = build("even", kk, m, c, T + 1)  # its last entry is M[T-1, T]
+        diag, off = mat.diag[:T], mat.offdiag[:T - 1]
         # bisection down to the underflow threshold resolves each chi to a
-        # few ulps of itself instead of eps * ||M||, so a converged chi no
-        # longer moves with the truncation
-        chi2, vecs = eigh_tridiagonal(mat.diag, mat.offdiag, select="i",
-                                      select_range=(0, N_max), tol=_BISECT_TOL)
-        if chi is not None:
-            drift = np.abs(chi2 - chi)
-            # the achievable eigenvalue stability is limited by solver noise
-            # of order eps * ||M||, which grows with the truncation
-            floor = 8 * np.finfo(float).eps * (
-                np.max(np.abs(mat.diag)) + 2 * np.max(np.abs(mat.offdiag), initial=0.0))
-            if (np.all(drift <= tol * (1 + np.abs(chi2)) + floor)
-                    and np.all(np.abs(vecs[-1]) <= tol)):
-                big = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(N_max + 1)]
-                block = RadialEigenpair(chi2, vecs * np.sign(big))
-                return as_odd(block, k, m) if parity == "odd" else block
-        chi = chi2
+        # few ulps of itself instead of eps * ||M||, so a certified chi does
+        # not move with the truncation
+        chi, vecs = eigh_tridiagonal(diag, off, select="i",
+                                     select_range=(0, N_max + 1), tol=_BISECT_TOL)
+        # Gershgorin: each row i >= T of M has diag_i - |off_(i-1)| - |off_i|
+        # >= 4i(kk+i+h) - 4 pi^2 c^2 / (kk+2i+h-2), which grows with i
+        g = 4 * T * (kk + T + h) - 4 * math.pi ** 2 * c ** 2 / (kk + 2 * T + h - 2)
+        if _certified(diag, off, abs(mat.offdiag[-1]), g, chi, vecs,
+                      np.exp(log_p0[:T] - log_p0[T - 1]), tol):
+            chi, vecs = chi[:-1], vecs[:, :-1]
+            big = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(N_max + 1)]
+            block = RadialEigenpair(chi, vecs * np.sign(big))
+            return as_odd(block, k, m) if parity == "odd" else block
     raise failure
+
+
+def _certified(diag: np.ndarray, off: np.ndarray, b: float, g: float, chi: np.ndarray,
+               vecs: np.ndarray, reach: np.ndarray, tol: float) -> bool:
+    """solve_block's acceptance test of the N_max + 2 lowest eigenpairs
+    (chi, vecs) of M_T = (diag, off), coupled by b = |M[T-1, T]| to rows
+    whose spectrum lies above g; reach_i = p_i(0) / p_(T-1)(0).
+
+    The count of eigenvalues of M below theta: when g > theta, the rows
+    beyond T form a positive definite block of M - theta, and its Schur
+    complement is M_T - theta with the last pivot lowered by at most
+    b^2 / (g - theta).  The pivots d_i = diag_i - theta - off_(i-1)^2 / d_(i-1)
+    of M_T - theta have N_max + 1 negatives (theta lies between chi_N_max
+    and chi_(N_max+1)), and lowering the last one keeps that count if it is
+    negative or larger than the drop.
+    """
+    eps = np.finfo(float).eps
+    last = np.abs(vecs[-1])
+    r = b * last
+    floor = 8 * eps * (np.max(np.abs(diag)) + 2 * np.max(np.abs(off), initial=0.0))
+    rho = r + floor
+    theta = float(chi[-2] + rho[-2] + chi[-1] - rho[-1]) / 2
+    peak = np.max(np.abs(vecs[:, :-1]) * reach[:, None], axis=0)
+    if not (np.all(r[:-1] <= tol * (1 + np.abs(chi[:-1])) + floor)
+            and np.all(last[:-1] <= tol)
+            and np.all(last[:-1] <= max(tol, eps) * peak)
+            and np.all(chi[1:] - rho[1:] > chi[:-1] + rho[:-1])
+            and g > theta):
+        return False
+    d = 1.0
+    for a, e in zip(diag.tolist(), [0.0] + off.tolist()):
+        d = a - theta - (e * e / d if d else math.inf)
+    return d < 0 or d * (g - theta) > b * b
 
 
 def as_odd(even_next: RadialEigenpair, k: int, m: int) -> RadialEigenpair:
     """The odd block of degree k from the even block of degree k + 1.
 
     M^o_k = M^e_(k+1) + (4k+2m) I, so beta^k_N = alpha^(k+1)_N and chi moves
-    by 4k + 2m.  Converging the unshifted matrix is the stricter test: its
-    relative drift bound and its noise floor are both smaller.
+    by 4k + 2m.  Certifying the unshifted matrix is the stricter test: its
+    relative residual bound and its noise floor are both smaller.
     """
     return replace(even_next, chi=even_next.chi + (4 * k + 2 * m))
 

@@ -67,9 +67,16 @@ class PolyMultivector:
     def _from_rows(cls, m: int, exps: np.ndarray, coeffs: np.ndarray) -> "PolyMultivector":
         """The canonical polynomial of these rows: rows of equal exponents
         summed in order, zero rows dropped, both arrays read-only."""
-        exps, where = np.unique(exps.reshape(-1, m), axis=0, return_inverse=True)
+        exps = exps.reshape(-1, m)
+        order = np.lexsort(exps.T[::-1])  # lexicographic rows, column 0 first
+        exps = exps[order]
+        first = np.ones(len(exps), dtype=bool)
+        first[1:] = np.any(exps[1:] != exps[:-1], axis=1)
+        where = np.empty(len(exps), dtype=np.intp)
+        where[order] = np.cumsum(first) - 1
+        exps = exps[first]
         summed = np.zeros((len(exps), 1 << m), dtype=complex)
-        np.add.at(summed, where.reshape(-1), coeffs.reshape(-1, 1 << m))
+        np.add.at(summed, where, coeffs.reshape(-1, 1 << m))
         keep = np.any(summed != 0, axis=1)
         out = cls.__new__(cls)
         out.m, out.exps, out.coeffs = m, exps[keep], summed[keep]

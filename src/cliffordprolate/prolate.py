@@ -65,7 +65,15 @@ class Cpswf:
     def radial_poly_values(self, t) -> np.ndarray:
         """P(t) (even) or Q(t) (odd): the t-polynomial radial factor."""
         t = np.atleast_1d(np.asarray(t, dtype=float))
+        _check_t(t)
         return radial_series(self.k, self.m, self.parity, self.coeffs[:self._active], t)
+
+
+def _check_t(t: np.ndarray) -> None:
+    # the _active cut holds on [0, 1] only; the slack of eval_field_coeffs
+    # keeps points on the unit sphere
+    if not np.all((0 <= t) & (t <= 1 + 1e-12)):
+        raise ValueError("t must be finite and lie in [0, 1]")
 
 
 def _block_cpswfs(block: RadialEigenpair, zero: np.ndarray, odd: int,
@@ -130,6 +138,7 @@ def cpswf_blocks(m: int, c: float, ks, n_max: int, tol: float | None = None, t=(
     ks = list(ks)
     _check_order(n_max, ks, c)
     t = np.asarray(t, dtype=float)
+    _check_t(t)
     points = np.concatenate(([0.0], t.ravel()))
     ahead = None  # (k + 1, its even block), for the next degree to reuse
     for k in ks:

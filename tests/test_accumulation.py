@@ -74,8 +74,9 @@ def test_partial_sum_stays_below_its_limit():
 
 
 def test_partial_sum_solves_blocks(monkeypatch):
-    # K + 2 even block solves of a few eigensolves each, and one value
-    # table per degree; one order at a time took 3,844 of each
+    # K + 2 even block solves, each certified at its first truncation by
+    # one eigensolve, and one value table per degree; one order at a time
+    # took 3,844 of each
     import cliffordprolate.galerkin as galerkin
     import cliffordprolate.prolate as prolate
 
@@ -91,5 +92,5 @@ def test_partial_sum_solves_blocks(monkeypatch):
     monkeypatch.setattr(prolate, "radial_values", counted("table", prolate.radial_values))
     K = 30
     partial_sum(3, 4.0, K, 30, np.linspace(0, 1, 33))
-    assert calls["eig"] <= 4 * (K + 2)
+    assert calls["eig"] == K + 2
     assert calls["table"] == K + 1

@@ -8,6 +8,7 @@ import pytest
 from scipy.linalg import eigh_tridiagonal
 
 from cliffordprolate.galerkin import (
+    _BISECT_TOL,
     ConvergenceError,
     build,
     build_even,
@@ -199,3 +200,88 @@ def test_block_arrays_are_read_only():
         for a in (block.chi, block.coeffs, block[2].coeffs):
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 1.0
+
+
+def _count_eigensolves(monkeypatch, alter=None):
+    """Count solve_block's eigensolves; alter(call, chi, vecs) may rig a result."""
+    import cliffordprolate.galerkin as galerkin
+
+    calls = []
+
+    def counting(*a, **kw):
+        chi, vecs = eigh_tridiagonal(*a, **kw)
+        calls.append(len(a[0]))
+        return alter(len(calls), chi, vecs) if alter else (chi, vecs)
+
+    monkeypatch.setattr(galerkin, "eigh_tridiagonal", counting)
+    return calls
+
+
+def _solved_at(parity, k, m, c, N_max, T):
+    """Orders 0..N_max of the T x T matrix, solved as solve_block solves it."""
+    mat = build("even", k + (parity == "odd"), m, c, T)
+    chi, vecs = eigh_tridiagonal(mat.diag, mat.offdiag, select="i",
+                                 select_range=(0, N_max + 1), tol=_BISECT_TOL)
+    chi, vecs = chi[:-1], vecs[:, :-1]
+    vecs = vecs * np.sign(vecs[np.argmax(np.abs(vecs), axis=0), np.arange(N_max + 1)])
+    return chi + (4 * k + 2 * m if parity == "odd" else 0), vecs
+
+
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("c", [0.5, 4.0, 20.0, 50.0])
+@pytest.mark.parametrize("k", [0, 5])
+@pytest.mark.parametrize("parity", ["even", "odd"])
+@pytest.mark.parametrize("N_max", [0, 7])
+def test_block_is_certified_at_its_first_truncation(monkeypatch, m, c, k, parity, N_max):
+    calls = _count_eigensolves(monkeypatch)
+    block = solve_block(parity, k, m, c, N_max)
+    T = block.truncation
+    assert calls == [T] and T == 2 * N_max + 16 + math.ceil(2 * c)
+    chi, vecs = _solved_at(parity, k, m, c, N_max, 2 * T)
+    assert np.all(np.abs(block.chi - chi) <= 1e-13 * np.abs(chi))
+    padded = np.vstack((block.coeffs, np.zeros((T, N_max + 1))))
+    assert np.max(np.abs(padded - vecs)) <= 1e-12
+
+
+def test_tiny_tol_doubles_once_to_the_doubled_solve(monkeypatch):
+    # the last coefficient is about 1e-28 at T0 = 38 and 1e-51 (the
+    # eigensolver's floor for these vectors) at 2 T0
+    m, c, k, N_max = 3, 4.0, 0, 7
+    calls = _count_eigensolves(monkeypatch)
+    block = solve_block("even", k, m, c, N_max, tol=1e-40)
+    T0 = 2 * N_max + 16 + math.ceil(2 * c)
+    assert calls == [T0, 2 * T0] and block.truncation == 2 * T0
+    chi, vecs = _solved_at("even", k, m, c, N_max, 2 * T0)
+    assert np.array_equal(block.chi, chi) and np.array_equal(block.coeffs, vecs)
+
+
+@pytest.mark.parametrize("parity", ["even", "odd"])
+def test_overlapping_intervals_double(monkeypatch, parity):
+    def overlap_first(call, chi, vecs):
+        if call == 1:  # the gap above the last order closes
+            chi = chi.copy()
+            chi[-1] = chi[-2]
+        return chi, vecs
+
+    k, m, c, N_max = 1, 3, 2.0, 3
+    calls = _count_eigensolves(monkeypatch, overlap_first)
+    block = solve_block(parity, k, m, c, N_max)
+    T0 = 2 * N_max + 16 + math.ceil(2 * c)
+    assert calls == [T0, 2 * T0] and block.truncation == 2 * T0
+    chi, vecs = _solved_at(parity, k, m, c, N_max, 2 * T0)
+    assert np.array_equal(block.chi, chi) and np.array_equal(block.coeffs, vecs)
+
+
+@pytest.mark.parametrize("b,g,certified", [(2.0, 5.0, True), (3.0, 4.6, False)])
+def test_certificate_counts_an_eigenvalue_pulled_in_from_the_tail(b, g, certified):
+    # M_T = diag(0, 10), N_max = 0, coupled by b to one tail row of value g:
+    # the intervals [0] and [10 - b, 10 + b] are disjoint either way, but at
+    # b = 3 the coupled tail row brings an eigenvalue below theta
+    from cliffordprolate.galerkin import _certified
+
+    diag, off = np.array([0.0, 10.0]), np.array([0.0])
+    ok = _certified(diag, off, b, g, diag.copy(), np.eye(2), np.ones(2), 1.0)
+    theta = (0.0 + 10.0 - b) / 2
+    full = np.linalg.eigvalsh([[0, 0, 0], [0, 10, b], [0, b, g]])
+    assert ok == certified
+    assert (np.sum(full < theta) == 1) == certified

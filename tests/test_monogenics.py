@@ -196,3 +196,41 @@ def test_odd_field_is_vector_times_basis(m, k):
     for i, y in enumerate(basis(m, k).elements, start=1):
         ref = radial[:, None] * mul_coeffs(m, embed_coeffs(m, x), y.evaluate_coeffs(x))
         assert _close(eval_field_coeffs(psi, i, x), ref, rel=1e-14)
+
+
+def _from_rows_by_unique(cls, m, exps, coeffs):
+    """The row grouping by np.unique that _from_rows replaced."""
+    exps, where = np.unique(exps.reshape(-1, m), axis=0, return_inverse=True)
+    summed = np.zeros((len(exps), 1 << m), dtype=complex)
+    np.add.at(summed, where.reshape(-1), coeffs.reshape(-1, 1 << m))
+    keep = np.any(summed != 0, axis=1)
+    out = cls.__new__(cls)
+    out.m, out.exps, out.coeffs = m, exps[keep], summed[keep]
+    return out
+
+
+def _bases_and_products(m):
+    import cliffordprolate.monogenics as monogenics
+
+    monogenics.basis_2d.cache_clear()
+    monogenics.basis_3d.cache_clear()
+    polys = []
+    for k in range(9):
+        for y in basis(m, k).elements:
+            polys += [y, PolyMultivector.vector(m) * y]
+    monogenics.basis_2d.cache_clear()
+    monogenics.basis_3d.cache_clear()
+    return polys
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_row_grouping_is_bit_identical_to_unique(monkeypatch, m):
+    # the same rows in the same order and the same np.add.at summation, so
+    # every basis (k <= 8) and its x * Y product keep their bits
+    got = _bases_and_products(m)
+    monkeypatch.setattr(PolyMultivector, "_from_rows", classmethod(_from_rows_by_unique))
+    ref = _bases_and_products(m)
+    assert len(got) == len(ref)
+    for p, q in zip(got, ref):
+        assert p.exps.dtype == q.exps.dtype and p.exps.tobytes() == q.exps.tobytes()
+        assert p.coeffs.shape == q.coeffs.shape and p.coeffs.tobytes() == q.coeffs.tobytes()

@@ -176,6 +176,26 @@ def test_range_checks_reject_out_of_range_and_nan(name, value):
         call(make_cpswf(1, 1, 2, 1.0), value)
 
 
+@pytest.mark.parametrize("t", [-0.5, 2.0, 1 + 1e-9, math.nan, math.inf])
+def test_radial_factor_rejects_t_outside_the_unit_interval(t):
+    # the _active cut is exact on [0, 1] only: at t = 2 the cut series gave
+    # -31.58 where the full series gives 9.0e-5
+    with pytest.raises(ValueError, match=r"t must be finite and lie in \[0, 1\]"):
+        next(cpswf_blocks(3, 4.0, [5], 9, t=[0.5, t]))
+    for n in (0, 1):
+        with pytest.raises(ValueError, match=r"t must be finite and lie in \[0, 1\]"):
+            make_cpswf(n, 5, 3, 4.0).radial_poly_values([0.5, t])
+
+
+def test_radial_factor_keeps_the_closed_interval():
+    t = np.array([0.0, 1.0, 1 + 1e-13])
+    [(_, psis, values)] = cpswf_blocks(3, 4.0, [5], 9, t=t)
+    for psi, v in zip(psis, values):
+        got = psi.radial_poly_values(t)
+        assert np.all(np.isfinite(got))
+        assert np.max(np.abs(got - v)) <= 1e-12 * np.max(np.abs(v))
+
+
 @pytest.mark.parametrize("n", [0, 1])
 @pytest.mark.parametrize("shape", [(4, 2), (4, 4), (2,), ()])
 def test_field_rejects_points_of_the_wrong_dimension(n, shape):
