@@ -113,7 +113,8 @@ def command(solves: bool = True):
         cmd = main.command()(run)
         if solves:
             cmd.params.append(click.Option(["--tol"], type=float, default=None,
-                                           help="Convergence tolerance in (0, 1e-4]."))
+                                           help="Convergence tolerance in (0, 1e-4]; a tol below "
+                                                "machine epsilon certifies as epsilon."))
         cmd.params += [
             click.Option(["--format", "fmt"], type=click.Choice(["csv", "json"]),
                          default="csv", show_default=True),

@@ -143,10 +143,11 @@ def solve_block(parity: str, k: int, m: int, c: float, N_max: int,
     the eigensolver's own error.  The first size is accepted where
 
     - r_j <= tol (1 + |chi_j|) + floor for every order j <= N_max;
-    - |v_j[T-1]| <= tol, and |v_j[T-1]| p_(T-1)(0) <= max(tol, eps)
-      max_i |v_j[i]| p_i(0), for every j <= N_max: p_i(0) is the largest
-      value of the i-th basis polynomial on [0, 1], so the dropped tail is
-      below tol of the radial factor it builds, or below its rounding;
+    - |v_j[T-1]| <= tol', and |v_j[T-1]| p_(T-1)(0) <= tol' max_i |v_j[i]|
+      p_i(0), for every j <= N_max, where tol' = max(tol, eps): p_i(0) is
+      the largest value of the i-th basis polynomial on [0, 1], so the
+      dropped tail is below tol of the radial factor it builds, or below
+      its rounding;
     - the intervals chi_j +- rho_j of j = 0..N_max + 1 are disjoint;
     - M has exactly N_max + 1 eigenvalues below theta, the middle of the gap
       between the intervals of N_max and N_max + 1 (see _certified).
@@ -155,7 +156,9 @@ def solve_block(parity: str, k: int, m: int, c: float, N_max: int,
     0..N_max lie below theta, and each holds at least one of the N_max + 1
     eigenvalues there.  Min-max adds chi_j(M) <= chi_j, and theta bounds
     chi_(N_max+1)(M) from below, the gap in the residual bound on each
-    eigenvector's angle.  Otherwise the truncation doubles.
+    eigenvector's angle.  Otherwise the truncation doubles.  A tol below
+    eps certifies as eps: the eigensolver's vector entries bottom out near
+    1e-51..1e-60, and a tighter tol would only double the truncation.
 
     Sign convention: the entry of largest magnitude of each eigenvector is
     made positive.  An odd block is the even block of degree k + 1 with chi
@@ -231,7 +234,7 @@ def _certified(diag: np.ndarray, off: np.ndarray, b: float, g: float, chi: np.nd
     theta = float(chi[-2] + rho[-2] + chi[-1] - rho[-1]) / 2
     peak = np.max(np.abs(vecs[:, :-1]) * reach[:, None], axis=0)
     if not (np.all(r[:-1] <= tol * (1 + np.abs(chi[:-1])) + floor)
-            and np.all(last[:-1] <= tol)
+            and np.all(last[:-1] <= max(tol, eps))
             and np.all(last[:-1] <= max(tol, eps) * peak)
             and np.all(chi[1:] - rho[1:] > chi[:-1] + rho[:-1])
             and g > theta):

@@ -15,6 +15,8 @@ structure; module orthonormality is what forces the constant zonal trace.
 
 A PolyMultivector holds its monomials as two arrays, so each operation on
 it, evaluation at many points included, is a few array expressions.
+field_basis puts a whole basis on one set of monomials, so the fields of
+every basis index evaluate from one monomial_table.
 """
 
 from __future__ import annotations
@@ -152,22 +154,29 @@ class PolyMultivector:
     def evaluate_coeffs(self, x: np.ndarray) -> np.ndarray:
         """Evaluate at points of shape (..., m); returns arrays (..., 2^m).
 
-        A real table of the T monomials at the points, built by repeated
-        products, times the real and imaginary coefficient parts in turn:
-        a complex table would double the memory.
+        The real monomial table at the points times the real and imaginary
+        coefficient parts in turn: a complex table would double the memory.
         """
         x = np.asarray(x, dtype=float)
         lead = x.shape[:-1]
-        mono = np.ones(lead + (len(self.exps),))
-        for j in range(self.m):
-            powers = [np.ones(lead)]
-            for _ in range(self.exps[:, j].max(initial=0)):
-                powers.append(powers[-1] * x[..., j])
-            mono *= np.stack(powers, axis=-1)[..., self.exps[:, j]]
+        mono = monomial_table(self.exps, x)
         out = np.empty(lead + (1 << self.m,), dtype=complex)
         out.real = mono @ self.coeffs.real
         out.imag = mono @ self.coeffs.imag
         return out
+
+
+def monomial_table(exps: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The T monomials x^exps[t] at points x of shape (..., m), as a real
+    array (..., T), built by repeated products of the coordinates."""
+    lead = x.shape[:-1]
+    mono = np.ones(lead + (len(exps),))
+    for j in range(exps.shape[1]):
+        powers = [np.ones(lead)]
+        for _ in range(exps[:, j].max(initial=0)):
+            powers.append(powers[-1] * x[..., j])
+        mono *= np.stack(powers, axis=-1)[..., exps[:, j]]
+    return mono
 
 
 def _dirac(p: PolyMultivector, axes: tuple[int, ...]) -> PolyMultivector:
@@ -290,3 +299,28 @@ def basis(m: int, k: int) -> MonogenicBasis:
     if m == 3:
         return basis_3d(k)
     raise ValueError(f"pointwise monogenic bases support m in {{2, 3}}, got {m}")
+
+
+@lru_cache(maxsize=None)
+def field_basis(m: int, k: int, odd: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The basis Y_k^i (odd = False) or x Y_k^i (odd = True) of M+(k) on one
+    set of monomials: exps (T, m), the union of the elements' exponents, and
+    coeffs (d_k, T, 2^m), each element's coefficients on them, zero where
+    it lacks a monomial.  coeffs is float64 when every imaginary part is 0,
+    as for every basis with m = 2, k <= 11 and m = 3, k <= 8.  So at points
+    x, element i is monomial_table(exps, x) @ coeffs[i - 1].
+    """
+    elements = basis(m, k).elements
+    if odd:
+        x = PolyMultivector.vector(m)
+        elements = [x * y for y in elements]
+    exps, where = np.unique(np.concatenate([y.exps for y in elements]),
+                            axis=0, return_inverse=True)
+    owner = np.repeat(np.arange(len(elements)), [len(y.exps) for y in elements])
+    coeffs = np.zeros((len(elements), len(exps), 1 << m), dtype=complex)
+    coeffs[owner, where.ravel()] = np.concatenate([y.coeffs for y in elements])
+    if not np.any(coeffs.imag):
+        coeffs = coeffs.real.copy()
+    exps.setflags(write=False)
+    coeffs.setflags(write=False)
+    return exps, coeffs

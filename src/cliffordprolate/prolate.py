@@ -13,6 +13,8 @@ operator QP_c = c^m G_c* G_c (eigenvalue lambda = c^m |mu|^2).
 
 make_cpswf builds one record and cpswf_blocks every order 0..n_max of each
 degree k, both a whole Galerkin block at a time (_block_cpswfs).
+eval_field_coeffs evaluates every basis index of a record at one point set
+from one table of the radial factor times the monomials (_field_table).
 """
 
 from __future__ import annotations
@@ -27,7 +29,8 @@ from .algebra import mul_coeffs  # noqa: F401  (kept for the benchmark's span ho
 from .galerkin import RadialEigenpair, _check_ints, as_odd, solve_block
 from .galerkin import solve_radial  # noqa: F401  (kept for the benchmark's span hooks)
 from .legendre import radial_series, radial_values
-from .monogenics import PolyMultivector, basis, dim_monogenic
+from .monogenics import basis  # noqa: F401  (kept for the benchmark's span hooks)
+from .monogenics import dim_monogenic, field_basis, monomial_table
 from .special import gamma_fn
 
 
@@ -169,25 +172,56 @@ def eval_radial(psi: Cpswf, r) -> np.ndarray:
     return float(vals[0]) if scalar else vals
 
 
+# the table of the last point set: (record, point shape, point bytes,
+# R(t) times the monomials of field_basis); one entry, replaced whole
+_last_table = None
+
+
+def _field_table(psi: Cpswf, x: np.ndarray) -> np.ndarray:
+    """R(|x|^2) times monomial_table at the points x, R = P (even) or Q
+    (odd): shape (..., T), shared by every basis index of psi at x."""
+    global _last_table
+    entry = _last_table  # read once, so a concurrent call cannot mix two entries
+    key = x.tobytes()
+    if entry is not None and entry[0] is psi and entry[1] == x.shape and entry[2] == key:
+        return entry[3]
+    t = np.sum(x ** 2, axis=-1)
+    if not np.all(t <= 1 + 1e-12):
+        raise ValueError("points must lie in the closed unit ball")
+    exps, _ = field_basis(psi.m, psi.k, psi.parity == "odd")
+    radial = psi.radial_poly_values(np.ravel(t)).reshape(t.shape)
+    table = monomial_table(exps, x)
+    table *= radial[..., None]
+    table.setflags(write=False)
+    _last_table = (psi, x.shape, key, table)
+    return table
+
+
 def eval_field_coeffs(psi: Cpswf, i: int, x: np.ndarray) -> np.ndarray:
-    """Raw Clifford coefficients of the field at points of shape (..., m)."""
+    """Raw Clifford coefficients of the field at points of shape (..., m).
+
+    Every basis index of psi at one point set shares one table of R(t)
+    times the monomials; the last table is kept, keyed on the record itself
+    and on the points' shape and bytes, so the next index at the same
+    points costs one real product.
+    """
     m = psi.m
     if m not in (2, 3):
         raise ValueError("field evaluation supports m in {2, 3}")
+    _check_ints(i=i)
     d = dim_monogenic(m, psi.k)
     if not 1 <= i <= d:
         raise ValueError(f"basis index i must be in [1, {d}]")
     x = np.asarray(x, dtype=float)
     if x.ndim == 0 or x.shape[-1] != m:
         raise ValueError(f"points must have shape (..., {m}), got {x.shape}")
-    t = np.sum(x ** 2, axis=-1)
-    if not np.all(t <= 1 + 1e-12):
-        raise ValueError("points must lie in the closed unit ball")
-    y = basis(m, psi.k).elements[i - 1]
-    if psi.parity == "odd":
-        y = PolyMultivector.vector(m) * y
-    radial = psi.radial_poly_values(np.ravel(t)).reshape(t.shape)
-    return radial[..., None] * y.evaluate_coeffs(x)
+    table = _field_table(psi, x)
+    coeffs = field_basis(m, psi.k, psi.parity == "odd")[1][i - 1]
+    out = np.zeros(x.shape[:-1] + (1 << m,), dtype=complex)
+    out.real = table @ coeffs.real
+    if np.iscomplexobj(coeffs):
+        out.imag = table @ coeffs.imag
+    return out
 
 
 def eval_field(psi: Cpswf, i: int, x) -> Multivector:

@@ -243,12 +243,29 @@ def test_block_is_certified_at_its_first_truncation(monkeypatch, m, c, k, parity
     assert np.max(np.abs(padded - vecs)) <= 1e-12
 
 
-def test_tiny_tol_doubles_once_to_the_doubled_solve(monkeypatch):
-    # the last coefficient is about 1e-28 at T0 = 38 and 1e-51 (the
-    # eigensolver's floor for these vectors) at 2 T0
+@pytest.mark.parametrize("tol", [1e-40, 1e-60])
+def test_tiny_tol_certifies_as_eps(monkeypatch, tol):
+    # the last coefficient is about 1e-28 at T0 = 38, and the eigensolver's
+    # vector entries bottom out near 1e-51..1e-60, so a tol below eps would
+    # only double: it takes the eps certificate of the tol = 1e-16 block
     m, c, k, N_max = 3, 4.0, 0, 7
+    ref = solve_block("even", k, m, c, N_max, tol=1e-16)
     calls = _count_eigensolves(monkeypatch)
-    block = solve_block("even", k, m, c, N_max, tol=1e-40)
+    block = solve_block("even", k, m, c, N_max, tol=tol)
+    assert calls == [2 * N_max + 16 + math.ceil(2 * c)]
+    assert np.array_equal(block.chi, ref.chi) and np.array_equal(block.coeffs, ref.coeffs)
+
+
+def test_large_tail_doubles(monkeypatch):
+    def large_tail_first(call, chi, vecs):
+        if call == 1:  # the last row of order 0 holds more than tol
+            vecs = vecs.copy()
+            vecs[-1, 0] = 1e-6
+        return chi, vecs
+
+    k, m, c, N_max = 0, 3, 4.0, 7
+    calls = _count_eigensolves(monkeypatch, large_tail_first)
+    block = solve_block("even", k, m, c, N_max, tol=1e-10)
     T0 = 2 * N_max + 16 + math.ceil(2 * c)
     assert calls == [T0, 2 * T0] and block.truncation == 2 * T0
     chi, vecs = _solved_at("even", k, m, c, N_max, 2 * T0)

@@ -1,15 +1,20 @@
 """CPSWF assembly: spectral triple (chi, mu, lambda) and field evaluation."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cliffordprolate.accumulation import partial_sum
 from cliffordprolate.algebra import Multivector, embed
 from cliffordprolate.galerkin import solve_block
 from cliffordprolate.legendre import radial_values
-from cliffordprolate.monogenics import basis
+from cliffordprolate import prolate
+from cliffordprolate.monogenics import PolyMultivector, basis
 from cliffordprolate.prolate import (
     eval_field,
     eval_field_coeffs,
@@ -207,6 +212,118 @@ def test_field_rejects_points_of_the_wrong_dimension(n, shape):
         eval_field(psi, 1, x)
 
 
+def _field_reference(psi, i, x):
+    """The field without the table memo: R(t) times Y_k^i or x Y_k^i."""
+    t = np.sum(x ** 2, axis=-1)
+    y = basis(psi.m, psi.k).elements[i - 1]
+    if psi.parity == "odd":
+        y = PolyMultivector.vector(psi.m) * y
+    radial = psi.radial_poly_values(np.ravel(t)).reshape(t.shape)
+    return radial[..., None] * y.evaluate_coeffs(x)
+
+
+# two records of one (m, k, parity): a table kept across records shows
+_MEMO_PSIS = [make_cpswf(1, 2, 3, 2.0), make_cpswf(3, 2, 3, 2.0)]
+_MEMO_STEP = st.tuples(
+    st.integers(0, 1), st.integers(0, 2),
+    st.sampled_from(["same", "reshape", "strided", "fortran", "mutate", "nan", "outside"]),
+    st.integers(1, 3))
+
+
+@settings(derandomize=True, deadline=None, max_examples=50)
+@given(st.lists(_MEMO_STEP, min_size=1, max_size=10))
+@example([(0, 0, "same", 1), (1, 0, "same", 1), (0, 0, "same", 2)])
+@example([(0, 0, "same", 1), (0, 1, "same", 1), (0, 0, "same", 2)])
+@example([(0, 0, "same", 1), (0, 0, "mutate", 1)])
+@example([(0, 0, "same", 1), (0, 0, "reshape", 1)])
+@example([(0, 0, "same", 1), (0, 0, "strided", 2), (0, 0, "fortran", 3)])
+@example([(0, 0, "same", 1), (0, 0, "same", 2), (0, 0, "nan", 1), (0, 0, "outside", 3)])
+def test_field_memo_matches_a_memo_free_reference(steps):
+    # steps of (record, point set, how the points are passed, basis index)
+    rng = np.random.default_rng(61)
+    sets = []
+    for _ in range(3):
+        x = rng.standard_normal((4, 3))
+        sets.append(x * rng.uniform(0.2, 1, (4, 1)) / np.linalg.norm(x, axis=1, keepdims=True))
+    for r, j, how, i in steps:
+        psi, x = _MEMO_PSIS[r], sets[j]
+        if how in ("nan", "outside"):
+            bad = x.copy()
+            bad[-1] = math.nan if how == "nan" else 0.6
+            with pytest.raises(ValueError, match="points must lie in the closed unit ball"):
+                eval_field_coeffs(psi, i, bad)
+            continue
+        if how == "mutate":  # the same array object, new points
+            x[:] = np.roll(x, 1, axis=0) * 0.9
+        elif how == "reshape":  # the same bytes, another shape
+            x = x.reshape(2, 2, 3)
+        elif how == "strided":
+            x = x[::2]
+        elif how == "fortran":
+            x = np.asfortranarray(x)
+        got = eval_field_coeffs(psi, i, x)
+        want = _field_reference(psi, i, x)
+        assert got.dtype == complex and got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_field_memo_keeps_each_result_under_concurrent_callers():
+    # four threads share the one-entry table across two records and two
+    # point sets; an entry read in two pieces would mix them
+    rng = np.random.default_rng(63)
+    sets = [rng.uniform(-0.5, 0.5, (32, 3)) for _ in range(2)]
+    jobs = [(psi, x, i) for psi in _MEMO_PSIS for x in sets for i in (1, 3)]
+    want = [_field_reference(psi, i, x) for psi, x, i in jobs]
+    errors = []
+
+    def work(offset):
+        try:
+            for n in range(200):
+                j = (offset + n) % len(jobs)
+                got = eval_field_coeffs(jobs[j][0], jobs[j][2], jobs[j][1])
+                if not np.max(np.abs(got - want[j])) <= 1e-14 * np.max(np.abs(want[j])):
+                    errors.append(j)
+        except Exception as exc:  # a thread's exception would not fail the test
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+
+
+def test_field_work_is_shared_across_indices_and_records(monkeypatch):
+    # the d_k indices of one record at one point set take one radial
+    # evaluation, and a second record of the same (m, k, parity) builds no
+    # x Y_k^i product
+    rng = np.random.default_rng(62)
+    x = rng.uniform(-0.5, 0.5, (64, 3))
+    radial_calls, products = [], []
+    radial_series = prolate.radial_series
+    monkeypatch.setattr(prolate, "radial_series",
+                        lambda *a: radial_calls.append(a[:3]) or radial_series(*a))
+    for n in (2, 1):
+        psi = make_cpswf(n, 3, 3, 1.0)
+        radial_calls.clear()
+        for i in range(1, 5):
+            eval_field_coeffs(psi, i, x)
+        assert len(radial_calls) == 1
+    mul = PolyMultivector.__mul__
+    monkeypatch.setattr(PolyMultivector, "__mul__", lambda a, b: products.append(1) or mul(a, b))
+    psi = make_cpswf(3, 3, 3, 1.0)
+    for i in range(1, 5):
+        eval_field_coeffs(psi, i, x)
+    assert products == []
+
+
 def test_lambda_matches_high_precision_oracle():
     # p_i(0) grows like i^(k+m/2-1/2): a cut on |alpha_i| alone drops tail
     # terms that still move P(0) and lambda (by 2.9e-9 relative here)
@@ -323,6 +440,8 @@ NON_INTEGER = [
     ("N must be an integer, got 1.0", lambda: solve_block("even", 0, 2, 1.0, 1.0)),
     ("K must be an integer, got 1.5", lambda: partial_sum(2, 1.0, 1.5, 1, [0.1])),
     ("N must be an integer, got 0.5", lambda: partial_sum(2, 1.0, 1, 0.5, [0.1])),
+    ("i must be an integer, got 1.5",
+     lambda: eval_field_coeffs(make_cpswf(0, 0, 2, 1.0), 1.5, np.zeros(2))),
 ]
 
 
