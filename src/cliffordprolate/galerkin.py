@@ -23,9 +23,8 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
-from .special import default_tol
+from .special import default_tol, scipy_extension
 
 T_CAP = 4096
 _BISECT_TOL = 2 * np.finfo(float).tiny  # LAPACK stebz's most accurate ABSTOL
@@ -77,6 +76,41 @@ class RadialEigenpair:
 
     def __getitem__(self, N: int) -> RadialEigenpair:
         return RadialEigenpair(float(self.chi[N]), self.coeffs[:, N])
+
+
+def _check_info(info: int, routine: str) -> None:
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of LAPACK {routine}")
+    if info > 0:
+        raise ConvergenceError(f"LAPACK {routine} did not converge (info={info})")
+
+
+def eigh_tridiagonal(d, e, *, select_range, select="i", tol=0.0):
+    """Eigenpairs lo..hi (ascending, 0-based) of the symmetric tridiagonal
+    matrix with diagonal d and off-diagonal e, for select_range = (lo, hi).
+
+    scipy.linalg.eigh_tridiagonal(d, e, select="i", select_range=..., tol=...)
+    with the same LAPACK calls and so the same bits: dstebz bisects the
+    eigenvalues to the absolute tolerance tol, in blocks of the matrix's
+    splitting, dstein inverse-iterates their vectors, and both are sorted
+    ascending.  The routines come from scipy's compiled LAPACK module, not
+    from the scipy.linalg package (special.scipy_extension).  A LAPACK info
+    < 0 raises ValueError, one > 0 ConvergenceError.
+    """
+    if select != "i":
+        raise ValueError(f"only select='i' is supported, got {select!r}")
+    d, e = np.asarray_chkfinite(d, dtype=float), np.asarray_chkfinite(e, dtype=float)
+    if d.ndim != 1 or e.shape != (d.size - 1,):
+        raise ValueError(f"need d of shape (T,) and e of shape (T-1,), got {d.shape}, {e.shape}")
+    lapack = scipy_extension("linalg._flapack", ("dstebz", "dstein"), "scipy.linalg.lapack")
+    lo, hi = select_range
+    count, w, iblock, isplit, info = lapack.dstebz(d, e, 2, 0.0, 1.0, lo + 1, hi + 1, tol, "B")
+    _check_info(info, "dstebz")
+    w = w[:count]
+    vecs, info = lapack.dstein(d, e, w, iblock, isplit)
+    _check_info(info, "dstein")
+    order = np.argsort(w)
+    return w[order], vecs[:, order]
 
 
 def build_even(k: int, m: int, c: float, T: int) -> SymTridiag:
@@ -143,11 +177,11 @@ def solve_block(parity: str, k: int, m: int, c: float, N_max: int,
     the eigensolver's own error.  The first size is accepted where
 
     - r_j <= tol (1 + |chi_j|) + floor for every order j <= N_max;
-    - |v_j[T-1]| <= tol', and |v_j[T-1]| p_(T-1)(0) <= tol' max_i |v_j[i]|
-      p_i(0), for every j <= N_max, where tol' = max(tol, eps): p_i(0) is
-      the largest value of the i-th basis polynomial on [0, 1], so the
-      dropped tail is below tol of the radial factor it builds, or below
-      its rounding;
+    - |v_j[T-1]| p_(T-1)(0) <= tol' max_i |v_j[i]| p_i(0), for every
+      j <= N_max, where tol' = max(tol, eps): p_i(0) is the largest value of
+      the i-th basis polynomial on [0, 1], so the dropped tail is below tol
+      of the radial factor it builds, or below its rounding.  p_i(0) grows
+      with i, so this also bounds |v_j[T-1]| by tol';
     - the intervals chi_j +- rho_j of j = 0..N_max + 1 are disjoint;
     - M has exactly N_max + 1 eigenvalues below theta, the middle of the gap
       between the intervals of N_max and N_max + 1 (see _certified).
@@ -216,7 +250,7 @@ def _certified(diag: np.ndarray, off: np.ndarray, b: float, g: float, chi: np.nd
                vecs: np.ndarray, reach: np.ndarray, tol: float) -> bool:
     """solve_block's acceptance test of the N_max + 2 lowest eigenpairs
     (chi, vecs) of M_T = (diag, off), coupled by b = |M[T-1, T]| to rows
-    whose spectrum lies above g; reach_i = p_i(0) / p_(T-1)(0).
+    whose spectrum lies above g; reach_i = p_i(0) / p_(T-1)(0) <= 1.
 
     The count of eigenvalues of M below theta: when g > theta, the rows
     beyond T form a positive definite block of M - theta, and its Schur
@@ -234,7 +268,6 @@ def _certified(diag: np.ndarray, off: np.ndarray, b: float, g: float, chi: np.nd
     theta = float(chi[-2] + rho[-2] + chi[-1] - rho[-1]) / 2
     peak = np.max(np.abs(vecs[:, :-1]) * reach[:, None], axis=0)
     if not (np.all(r[:-1] <= tol * (1 + np.abs(chi[:-1])) + floor)
-            and np.all(last[:-1] <= max(tol, eps))
             and np.all(last[:-1] <= max(tol, eps) * peak)
             and np.all(chi[1:] - rho[1:] > chi[:-1] + rho[:-1])
             and g > theta):

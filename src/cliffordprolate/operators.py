@@ -32,6 +32,7 @@ from .special import (
     chebyshev_grid,
     default_nodes,
     gauss_rule_unit_interval,
+    scipy_extension,
 )
 
 GRID_POINTS = 64
@@ -87,14 +88,18 @@ def _check_grid(grid) -> np.ndarray:
     return g
 
 
+def _jv():
+    """scipy's Bessel ufunc J_nu, loaded on first use without the scipy.special
+    package (on scipy 1.17 scipy.special.jv is this very object)."""
+    return scipy_extension("special._special_ufuncs", ("jv",), "scipy.special").jv
+
+
 def kernel_Kc(x, c: float, m: int) -> float:
     """K_c(x) = integral of e^(2 pi i c <xi, x>) over B(1).
 
     Closed form (c|x|)^(-m/2) J_(m/2)(2 pi c |x|); K_c(0) = |B(1)|.
     Real-valued and even in x.
     """
-    from scipy.special import jv  # loaded on use: importing the package skips it
-
     x = np.asarray(x, dtype=float)
     if not (math.isfinite(c) and c >= 0):
         raise ValueError(f"c must be finite and >= 0, got {c!r}")
@@ -105,21 +110,19 @@ def kernel_Kc(x, c: float, m: int) -> float:
     if z < 1e-9:
         # J_(m/2)(z) ~ (z/2)^(m/2)/Gamma(m/2+1): the limit is |B(1)|
         return ball_volume(m)
-    return float((c * s) ** (-m / 2) * jv(m / 2, z))
+    return float((c * s) ** (-m / 2) * _jv()(m / 2, z))
 
 
 def transform_matrix(nu: float, c: float, targets: np.ndarray,
                      rule: QuadratureRule) -> np.ndarray:
     """Matrix of T against the rule: (T f)(targets) = mat @ f(rule.nodes)."""
-    from scipy.special import jv  # loaded on use: importing the package skips it
-
     s = np.asarray(targets, dtype=float)
     if s.ndim != 1:
         raise ValueError(f"targets must be a 1-D array, got shape {s.shape}")
     if np.any(s <= 0):
         raise ValueError("targets must be positive (use the s -> 0 limit form)")
     r = rule.nodes
-    bes = jv(nu, 2 * math.pi * c * np.outer(s, r))
+    bes = _jv()(nu, 2 * math.pi * c * np.outer(s, r))
     return (s ** (-nu))[:, None] * bes * (rule.weights * r ** (nu + 1))[None, :]
 
 

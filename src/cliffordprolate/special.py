@@ -4,12 +4,20 @@ All integrals over the unit ball are reduced analytically to radial
 integrals on [0, 1] before quadrature; full-dimensional quadrature only
 appears in test oracles.  Rules on the circle S^1 and the sphere S^2 are
 provided for checking the spherical monogenic bases.
+
+scipy_extension loads the two compiled scipy modules the package calls
+(LAPACK for the eigensolve, the Bessel ufunc for the operators) without
+importing the scipy.linalg or scipy.special packages around them.
 """
 
 from __future__ import annotations
 
+import importlib
+import importlib.machinery
+import importlib.util
 import math
 import os
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -38,6 +46,45 @@ def default_nodes() -> int:
     if not MIN_NODES <= n <= MAX_NODES:
         raise ValueError(f"CPSWF_NODES must be in [{MIN_NODES}, {MAX_NODES}], got {n}")
     return n
+
+
+@lru_cache(maxsize=None)
+def scipy_extension(name: str, routines: tuple[str, ...], fallback: str):
+    """The compiled module scipy.<name>, if it holds every one of routines;
+    else the public module `fallback` that exports them.
+
+    Importing scipy.linalg or scipy.special costs a CLI process about 0.35 s
+    each, for one LAPACK pair or one ufunc.  The module is taken from
+    sys.modules when scipy already loaded it, and otherwise from its shared
+    library next to scipy's __init__, which imports numpy only.  A scipy
+    without that library (it is private, and may move) gets the fallback.
+    """
+    module = sys.modules.get(f"scipy.{name}") or _load_extension(name)
+    if module is None or not all(hasattr(module, r) for r in routines):
+        module = importlib.import_module(fallback)
+    return module
+
+
+def _load_extension(name: str):
+    """scipy.<name> from its shared library, registered in sys.modules; None
+    when the library is missing or will not load."""
+    scipy = importlib.util.find_spec("scipy")  # locates scipy without importing it
+    if scipy is None or scipy.origin is None:
+        return None
+    base = os.path.join(os.path.dirname(scipy.origin), *name.split("."))
+    paths = [base + s for s in importlib.machinery.EXTENSION_SUFFIXES if os.path.isfile(base + s)]
+    if not paths:
+        return None
+    full = f"scipy.{name}"
+    loader = importlib.machinery.ExtensionFileLoader(full, paths[0])
+    try:
+        module = importlib.util.module_from_spec(
+            importlib.util.spec_from_file_location(full, paths[0], loader=loader))
+        loader.exec_module(module)
+    except ImportError:
+        return None
+    sys.modules[full] = module
+    return module
 
 
 def gamma_fn(x: float) -> float:

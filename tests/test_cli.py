@@ -249,12 +249,50 @@ def test_output_file(tmp_path):
     assert text.replace("\r\n", "\n") == inline.output
 
 
-def test_cli_import_does_not_load_scipy_special():
-    # every CLI process pays its imports; Bessel functions load on first use
+def test_lapack_failure_exits_3(monkeypatch):
+    import types
+
+    import cliffordprolate.galerkin as galerkin
+
+    def no_convergence(*args):
+        return 0, np.zeros(20), np.ones(20, np.int32), np.ones(20, np.int32), 1
+
+    monkeypatch.setattr(galerkin, "scipy_extension",
+                        lambda *args: types.SimpleNamespace(dstebz=no_convergence))
+    res = run("eigs", "--m", "2", "--k", "0", "--c", "1", "--count", "2")
+    assert res.exit_code == 3 and res.stdout == ""
+    assert res.stderr == ("Error: convergence failure: LAPACK dstebz did not converge "
+                          "(info=1)\n")
+
+
+# runs the CLI on argv[1:] (or only imports it) and reports, as the last line
+# of stderr, every scipy module the process loaded
+_SCIPY_MODULES = """
+import atexit, sys
+atexit.register(lambda: sys.stderr.write("\\nscipy: " + " ".join(sorted(
+    m for m in sys.modules if m.split(".")[0] == "scipy")) + "\\n"))
+import cliffordprolate.cli
+if sys.argv[1:]:
+    cliffordprolate.cli.main(sys.argv[1:], prog_name="cliffordprolate")
+"""
+
+
+@pytest.mark.parametrize("args, code, loaded", [
+    ([], 0, ""),
+    (["--help"], 0, ""),
+    ("legendre --m 2 --k 0 --n 6".split(), 0, ""),
+    ("eigs --m 1 --k 0 --c 1".split(), 2, ""),
+    ("eigs --m 2 --k 0 --c 1 --count 4".split(), 0, "scipy.linalg._flapack"),
+    ("verify --m 2 --c 1 --k 0..1 --nmax 2".split(), 0,
+     "scipy.linalg._flapack scipy.special._special_ufuncs"),
+], ids=["import", "help", "legendre", "exit-2", "eigs", "verify"])
+def test_cli_process_loads_only_the_scipy_extensions_it_calls(args, code, loaded):
+    # every CLI process pays its imports: the scipy.linalg and scipy.special
+    # packages cost about 0.35 s each, for one LAPACK pair and one ufunc
     src = str(Path(cliffordprolate.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    code = "import sys, cliffordprolate.cli; print('scipy.special' in sys.modules)"
-    res = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True)
-    assert res.stdout == "False\n"
+    res = subprocess.run([sys.executable, "-c", _SCIPY_MODULES, *args], env=env,
+                         capture_output=True, text=True)
+    assert res.returncode == code, res.stderr
+    assert res.stderr.splitlines()[-1] == f"scipy: {loaded}"

@@ -302,3 +302,102 @@ def test_certificate_counts_an_eigenvalue_pulled_in_from_the_tail(b, g, certifie
     full = np.linalg.eigvalsh([[0, 0, 0], [0, 10, b], [0, b, g]])
     assert ok == certified
     assert (np.sum(full < theta) == 1) == certified
+
+
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("c", [0.5, 8.0])
+def test_tail_weights_never_exceed_one(monkeypatch, m, c):
+    # reach_i = p_i(0) / p_(T-1)(0) <= 1, so the weighted tail check of
+    # _certified bounds the last coefficient by max(tol, eps) on its own
+    import cliffordprolate.galerkin as galerkin
+
+    reaches = []
+
+    def recording(*args):
+        reaches.append(args[6])
+        return certified(*args)
+
+    certified = galerkin._certified
+    monkeypatch.setattr(galerkin, "_certified", recording)
+    for parity in ("even", "odd"):
+        for k in (0, 5, 30):
+            solve_block(parity, k, m, c, 7)
+    assert len(reaches) == 6
+    for reach in reaches:
+        assert reach[-1] == 1.0 and np.all(reach <= 1.0) and np.all(np.diff(reach) >= 0)
+
+
+@pytest.mark.parametrize("path", ["extension", "fallback"])
+def test_eigensolve_is_scipys_bit_for_bit(monkeypatch, fresh_loader, path):
+    # the same LAPACK calls as scipy.linalg.eigh_tridiagonal's select="i"
+    # path, through the compiled module loaded from its file and through the
+    # public scipy.linalg.lapack
+    import sys
+
+    import cliffordprolate.galerkin as galerkin
+    import cliffordprolate.special as special
+
+    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+    if path == "fallback":
+        monkeypatch.setattr(special, "_load_extension", lambda name: None)
+    for c in (0.5, 4.0, 50.0):
+        for k in (0, 10):
+            for m in (2, 5):
+                for N in (0, 15):
+                    T0 = 2 * N + 16 + math.ceil(2 * c)
+                    for T in (T0, 2 * T0):
+                        mat = build_even(k, m, c, T)
+                        kw = dict(select="i", select_range=(0, N + 1), tol=_BISECT_TOL)
+                        chi, vecs = galerkin.eigh_tridiagonal(mat.diag, mat.offdiag, **kw)
+                        ref_chi, ref_vecs = eigh_tridiagonal(mat.diag, mat.offdiag, **kw)
+                        assert np.array_equal(chi, ref_chi) and np.array_equal(vecs, ref_vecs)
+    lapack = special.scipy_extension("linalg._flapack", ("dstebz", "dstein"),
+                                     "scipy.linalg.lapack")
+    assert lapack.__name__ == {"extension": "scipy.linalg._flapack",
+                               "fallback": "scipy.linalg.lapack"}[path]
+
+
+def test_eigensolve_rejects_non_finite_or_misshapen_entries():
+    import cliffordprolate.galerkin as galerkin
+
+    mat = build_even(0, 2, 1.0, 20)
+    diag = mat.diag.copy()
+    diag[3] = math.nan
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        galerkin.eigh_tridiagonal(diag, mat.offdiag, select="i", select_range=(0, 2))
+    for d, e in [(mat.diag, mat.diag), (mat.diag[:, None], mat.offdiag)]:
+        with pytest.raises(ValueError, match="need d of shape"):
+            galerkin.eigh_tridiagonal(d, e, select="i", select_range=(0, 2))
+
+
+def test_lapack_info_is_an_error(monkeypatch):
+    import types
+
+    import cliffordprolate.galerkin as galerkin
+
+    mat = build_even(0, 2, 1.0, 20)
+    # a real info < 0: dstebz rejects an index range past the matrix
+    with pytest.raises(ValueError, match="illegal value in argument 7 of LAPACK dstebz"):
+        galerkin.eigh_tridiagonal(mat.diag, mat.offdiag, select="i", select_range=(0, 20))
+    lapack = galerkin.scipy_extension("linalg._flapack", ("dstebz", "dstein"),
+                                      "scipy.linalg.lapack")
+
+    def fake(dstebz_info, dstein_info):
+        def dstebz(*args):
+            count, w, iblock, isplit, _ = lapack.dstebz(*args)
+            return count, w, iblock, isplit, dstebz_info
+
+        def dstein(*args):
+            return lapack.dstein(*args)[0], dstein_info
+
+        return types.SimpleNamespace(dstebz=dstebz, dstein=dstein)
+
+    for info, error, routine in [((-3, 0), ValueError, "dstebz"), ((0, -5), ValueError, "dstein"),
+                                 ((1, 0), ConvergenceError, "dstebz"),
+                                 ((0, 2), ConvergenceError, "dstein")]:
+        monkeypatch.setattr(galerkin, "scipy_extension", lambda *a, info=info: fake(*info))
+        with pytest.raises(error, match=f"LAPACK {routine}"):
+            galerkin.eigh_tridiagonal(mat.diag, mat.offdiag, select="i", select_range=(0, 2))
+        # a solve never turns a LAPACK failure into a result
+        with pytest.raises(error, match=f"LAPACK {routine}"):
+            solve_block("even", 0, 2, 1.0, 1)

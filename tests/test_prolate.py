@@ -332,6 +332,18 @@ def test_lambda_matches_high_precision_oracle():
     assert abs(lam - ref) <= 1e-13 * ref
 
 
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("c", [1.0, 8.0, 1000.0])
+def test_lambda_passes_one_by_rounding_only(m, c):
+    # lam <= 1 exactly; rounding lifts it by at most 0.5 T eps on these
+    # blocks (1 + 217 eps at c = 1000, n = 1, T = 2,016), and the Cpswf
+    # docstring states lam <= 1 + T eps
+    eps = np.finfo(float).eps
+    for _, psis, _ in cpswf_blocks(m, c, range(8), 15):
+        for psi in psis:
+            assert 0 < psi.lam <= 1 + psi.pair.truncation * eps
+
+
 def test_active_length_bounds_every_dropped_term():
     psi = make_cpswf(0, 19, 3, 4.0)
     bound = np.abs(psi.coeffs * psi.basis_at_zero)

@@ -1,6 +1,8 @@
-"""Quadrature rules, measures and environment overrides."""
+"""Quadrature rules, measures, environment overrides and the scipy extension loader."""
 
 import math
+import sys
+import types
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from cliffordprolate.special import (
     default_tol,
     gamma_fn,
     gauss_rule_unit_interval,
+    scipy_extension,
     sphere_area,
     sphere_rule,
 )
@@ -70,3 +73,28 @@ def test_chebyshev_grid_interior():
     g = chebyshev_grid(32)
     assert np.all(g > 0) and np.all(g < 1)
     assert np.all(np.diff(g) > 0)
+
+
+def test_extension_already_loaded_is_reused(monkeypatch, fresh_loader):
+    loaded = types.ModuleType("scipy.fake._ext")
+    loaded.routine = object()
+    monkeypatch.setitem(sys.modules, "scipy.fake._ext", loaded)
+    assert scipy_extension("fake._ext", ("routine",), "math") is loaded
+
+
+def test_extension_is_loaded_from_its_file(monkeypatch, fresh_loader):
+    monkeypatch.delitem(sys.modules, "scipy.special._special_ufuncs", raising=False)
+    module = scipy_extension("special._special_ufuncs", ("jv",), "scipy.special")
+    assert module.__name__ == "scipy.special._special_ufuncs"
+    assert sys.modules["scipy.special._special_ufuncs"] is module
+    assert module.jv(0.5, 1.0) == pytest.approx(math.sqrt(2 / math.pi) * math.sin(1.0), rel=1e-14)
+
+
+@pytest.mark.parametrize("name, routines", [
+    ("linalg._no_such_module", ("dstebz",)),  # no shared library
+    ("linalg._flapack", ("dstebz", "no_such_routine")),  # the routine moved
+])
+def test_extension_falls_back_to_the_public_module(fresh_loader, name, routines):
+    import scipy.linalg.lapack
+
+    assert scipy_extension(name, routines, "scipy.linalg.lapack") is scipy.linalg.lapack
