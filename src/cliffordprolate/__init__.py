@@ -3,7 +3,7 @@
 Library layout:
   algebra       dense Clifford algebra arithmetic (C_m)
   special       Gamma-function measures and quadrature rules
-  monogenics    orthonormal spherical monogenic bases (m = 2, 3)
+  monogenics    orthonormal spherical monogenic bases (any m)
   legendre      Clifford-Legendre radial polynomials p_N, q_N
   galerkin      tridiagonal Galerkin matrices and eigenpairs
   prolate       CPSWF assembly, evaluation, spectral triple (chi, mu, lambda)

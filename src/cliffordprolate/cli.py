@@ -13,8 +13,7 @@ Exit codes:
      ratio_spread is reported but not checked
   2  invalid input: a bad option value, a non-finite c, --tol or CPSWF_TOL
      outside (0, 1e-4], a CPSWF_NODES outside [128, 4096], a verify
-     --threshold that is not a finite number > 0, an unwritable --output,
-     or a degree k past the monogenic basis range
+     --threshold that is not a finite number > 0, or an unwritable --output
   3  convergence failure of the adaptive truncation
 Errors of exit codes 2 and 3 that the option parser does not catch itself
 are reported on a single stderr line.
@@ -126,7 +125,6 @@ def command(solves: bool = True):
 
 
 _M_ANY = click.IntRange(2, 8)
-_M_FIELD = click.IntRange(2, 3)
 _NONNEG = click.IntRange(min=0)
 _GRID = click.IntRange(min=2)
 
@@ -187,10 +185,10 @@ def radial(n, k, m, c, grid, tol):
 @click.option("--k", type=_NONNEG, required=True)
 @click.option("--i", "idx", type=click.IntRange(min=1), default=1, show_default=True,
               help="Monogenic basis index, 1..d_k.")
-@click.option("--m", type=_M_FIELD, required=True)
+@click.option("--m", type=_M_ANY, required=True)
 @click.option("--c", type=float, required=True)
 @click.option("--grid", type=_GRID, default=50, show_default=True,
-              help="Points per axis on [-1, 1]^2 (x3 = 0 slice when m = 3).")
+              help="Points per axis on [-1, 1]^2 (the slice x3 = .. = xm = 0 when m > 2).")
 def field(n, k, idx, m, c, grid, tol):
     """Full Clifford-valued field on a planar grid, one column pair per blade.
 
@@ -202,7 +200,7 @@ def field(n, k, idx, m, c, grid, tol):
     for x1 in ax:
         for x2 in ax:
             if x1 * x1 + x2 * x2 <= 1.0:
-                pts.append((x1, x2, 0.0)[:m])
+                pts.append((x1, x2) + (0.0,) * (m - 2))
     pts = np.array(pts)
     vals = eval_field_coeffs(psi, idx, pts)
     cols = [f"x{j + 1}" for j in range(m)]
@@ -227,7 +225,7 @@ def _k_range(text: str) -> range:
 
 
 @command()
-@click.option("--m", type=_M_FIELD, required=True)
+@click.option("--m", type=_M_ANY, required=True)
 @click.option("--c", type=float, required=True)
 @click.option("--k", "kspec", type=str, required=True,
               help="Single k or inclusive range like 0..2.")
@@ -254,7 +252,7 @@ def verify(m, c, kspec, nmax, threshold, tol):
 
 
 @command()
-@click.option("--m", type=_M_FIELD, required=True)
+@click.option("--m", type=_M_ANY, required=True)
 @click.option("--c", type=float, required=True)
 @click.option("--k", "kmax", "--K", type=_NONNEG, required=True,
               help="Maximum monogenic degree K.")

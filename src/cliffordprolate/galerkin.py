@@ -197,8 +197,7 @@ def solve_block(parity: str, k: int, m: int, c: float, N_max: int,
     Sign convention: the entry of largest magnitude of each eigenvector is
     made positive.  An odd block is the even block of degree k + 1 with chi
     shifted by 4k + 2m (see as_odd).  Raises ConvergenceError when the
-    truncation would pass the cap, before any eigensolve if the ladder has
-    no room for a doubling.
+    truncation would pass the cap, before any eigensolve if T0 does.
     """
     _check_ints(k=k, m=m, N=N_max)
     if not math.isfinite(c):
@@ -217,7 +216,7 @@ def solve_block(parity: str, k: int, m: int, c: float, N_max: int,
         sizes.append(2 * sizes[-1])
     failure = ConvergenceError(f"truncation exceeded {T_CAP} for (parity={parity}, "
                                f"k={k}, m={m}, c={c}, N={N_max})")
-    if len(sizes) < 2:  # keep room for one doubling; fail before any solve
+    if sizes[0] > T_CAP:
         raise failure
     kk = k + 1 if parity == "odd" else k
     h = m / 2

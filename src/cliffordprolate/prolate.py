@@ -214,8 +214,6 @@ def eval_field_coeffs(psi: Cpswf, i: int, x: np.ndarray) -> np.ndarray:
     points costs one real product.
     """
     m = psi.m
-    if m not in (2, 3):
-        raise ValueError("field evaluation supports m in {2, 3}")
     _check_ints(i=i)
     d = dim_monogenic(m, psi.k)
     if not 1 <= i <= d:
@@ -226,9 +224,7 @@ def eval_field_coeffs(psi: Cpswf, i: int, x: np.ndarray) -> np.ndarray:
     table = _field_table(psi, x)
     coeffs = field_basis(m, psi.k, psi.parity == "odd")[1][i - 1]
     out = np.zeros(x.shape[:-1] + (1 << m,), dtype=complex)
-    out.real = table @ coeffs.real
-    if np.iscomplexobj(coeffs):
-        out.imag = table @ coeffs.imag
+    out.real = table @ coeffs
     return out
 
 

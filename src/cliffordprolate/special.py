@@ -1,9 +1,9 @@
 """Gamma-function measures plus the quadrature rules used everywhere else.
 
 All integrals over the unit ball are reduced analytically to radial
-integrals on [0, 1] before quadrature; full-dimensional quadrature only
-appears in test oracles.  Rules on the circle S^1 and the sphere S^2 are
-provided for checking the spherical monogenic bases.
+integrals on [0, 1] before quadrature, and sphere integrals of monogenics
+to Fischer sums (monogenics); full-dimensional quadrature only appears in
+test oracles.
 
 scipy_extension loads the two compiled scipy modules the package calls
 (LAPACK for the eigensolve, the Bessel ufunc for the operators) without
@@ -106,10 +106,8 @@ def sphere_area(m: int) -> float:
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Nodes and positive weights on a declared domain.
-
-    domain is one of 'unit_interval', 'circle', 'sphere'.  For 'circle'
-    and 'sphere' the nodes are points on S^1 / S^2 with shape (P, m).
+    """Nodes and positive weights on a declared domain, such as
+    'unit_interval'; nodes on a sphere have shape (P, m).
     """
 
     domain: str
@@ -130,40 +128,6 @@ def gauss_rule_unit_interval(n: int) -> QuadratureRule:
         raise ValueError(f"node count must be in [1, {MAX_NODES}], got {n}")
     x, w = np.polynomial.legendre.leggauss(n)
     return QuadratureRule("unit_interval", (x + 1) / 2, w / 2)
-
-
-@lru_cache(maxsize=64)
-def sphere_rule(m: int, order: int) -> QuadratureRule:
-    """Quadrature on S^(m-1) for m in {2, 3}.
-
-    m=2: uniform trapezoid on the circle, exact for trigonometric degree
-    < number of points.  m=3: product of Gauss-Legendre in cos(theta) and
-    uniform phi, exact for spherical-harmonic degree <= order.
-    """
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    if m == 2:
-        p = max(order + 1, 4)
-        theta = 2 * np.pi * np.arange(p) / p
-        nodes = np.column_stack([np.cos(theta), np.sin(theta)])
-        weights = np.full(p, 2 * np.pi / p)
-        return QuadratureRule("circle", nodes, weights)
-    if m == 3:
-        nz = max(order // 2 + 1, 2)
-        z, wz = np.polynomial.legendre.leggauss(nz)
-        nphi = max(order + 1, 4)
-        phi = 2 * np.pi * np.arange(nphi) / nphi
-        s = np.sqrt(1 - z ** 2)
-        nodes = np.empty((nz * nphi, 3))
-        weights = np.empty(nz * nphi)
-        for i in range(nz):
-            sl = slice(i * nphi, (i + 1) * nphi)
-            nodes[sl, 0] = s[i] * np.cos(phi)
-            nodes[sl, 1] = s[i] * np.sin(phi)
-            nodes[sl, 2] = z[i]
-            weights[sl] = wz[i] * 2 * np.pi / nphi
-        return QuadratureRule("sphere", nodes, weights)
-    raise ValueError(f"sphere_rule supports m in {{2, 3}}, got {m}")
 
 
 def chebyshev_grid(n: int) -> np.ndarray:

@@ -7,7 +7,9 @@ closed forms.  Slow but trustworthy.
 The identities that only verify the library's results live here too: the
 Rodrigues form of the Clifford-Legendre polynomials and the Dirac coupling
 between degrees, the c = 0 radial operator, the small-c curvature of chi,
-the M_c kernel, and full-ball Gram quadrature of the CPSWFs.
+the M_c kernel, full-ball Gram quadrature of the CPSWFs, and the quadrature
+rules on S^1 and S^2 with the C_m-valued sphere inner product that check
+the monogenic bases independently of their Fischer sums.
 """
 
 from __future__ import annotations
@@ -20,14 +22,13 @@ import numpy as np
 from numpy.polynomial import polynomial as P
 from scipy.special import jv
 
-from cliffordprolate.algebra import embed_coeffs, mul_coeffs
+from cliffordprolate.algebra import conj_coeffs, embed_coeffs, mul_coeffs
 from cliffordprolate.galerkin import build
 from cliffordprolate.legendre import RadialPoly, radial_sequence
 from cliffordprolate.monogenics import PolyMultivector, basis, dirac
 from cliffordprolate.operators import _default_rule, _psi_setup, transform_matrix
 from cliffordprolate.prolate import Cpswf, eval_field_coeffs
-from cliffordprolate.special import (QuadratureRule, gamma_fn, gauss_rule_unit_interval,
-                                    sphere_rule)
+from cliffordprolate.special import QuadratureRule, gamma_fn, gauss_rule_unit_interval
 
 
 def jacobi_eigenvalues(A: np.ndarray, tol: float = 1e-14,
@@ -403,6 +404,50 @@ def Mc_kernel(r: float, s: float, c: float, k: int, m: int) -> float:
         return float(2 * math.pi * c * diag)
     num = b * jv(nu, a) * jv(nu - 1, b) - a * jv(nu - 1, a) * jv(nu, b)
     return float(2 * math.pi * c * num / (a ** 2 - b ** 2))
+
+
+@lru_cache(maxsize=64)
+def sphere_rule(m: int, order: int) -> QuadratureRule:
+    """Quadrature on S^(m-1) for m in {2, 3}.
+
+    m=2: uniform trapezoid on the circle, exact for trigonometric degree
+    < number of points.  m=3: product of Gauss-Legendre in cos(theta) and
+    uniform phi, exact for spherical-harmonic degree <= order.
+    """
+    if order < 0:
+        raise ValueError("order must be nonnegative")
+    if m == 2:
+        p = max(order + 1, 4)
+        theta = 2 * np.pi * np.arange(p) / p
+        nodes = np.column_stack([np.cos(theta), np.sin(theta)])
+        weights = np.full(p, 2 * np.pi / p)
+        return QuadratureRule("circle", nodes, weights)
+    if m == 3:
+        nz = max(order // 2 + 1, 2)
+        z, wz = np.polynomial.legendre.leggauss(nz)
+        nphi = max(order + 1, 4)
+        phi = 2 * np.pi * np.arange(nphi) / nphi
+        s = np.sqrt(1 - z ** 2)
+        nodes = np.empty((nz * nphi, 3))
+        weights = np.empty(nz * nphi)
+        for i in range(nz):
+            sl = slice(i * nphi, (i + 1) * nphi)
+            nodes[sl, 0] = s[i] * np.cos(phi)
+            nodes[sl, 1] = s[i] * np.sin(phi)
+            nodes[sl, 2] = z[i]
+            weights[sl] = wz[i] * 2 * np.pi / nphi
+        return QuadratureRule("sphere", nodes, weights)
+    raise ValueError(f"sphere_rule supports m in {{2, 3}}, got {m}")
+
+
+def _sphere_clifford_inner(y: PolyMultivector, z: PolyMultivector,
+                           rule: QuadratureRule) -> np.ndarray:
+    """C_m-valued inner product int_S conj(Y(w)) Z(w) dw as a raw array."""
+    m = y.m
+    yv = y.evaluate_coeffs(rule.nodes)
+    zv = z.evaluate_coeffs(rule.nodes)
+    prod = mul_coeffs(m, conj_coeffs(m, yv), zv)
+    return np.tensordot(rule.weights, prod, axes=(0, 0))
 
 
 def _angular_vectors(psi: Cpswf, i: int, sphere: QuadratureRule) -> np.ndarray:

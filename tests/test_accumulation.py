@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from cliffordprolate.accumulation import limit_value, partial_sum, zonal_trace
+from cliffordprolate.monogenics import dim_monogenic
 from cliffordprolate.prolate import eval_field_coeffs, make_cpswf
 
 
@@ -33,6 +34,22 @@ def test_partial_sum_matches_direct_field_sum():
             v = eval_field_coeffs(psi, 1, x)
             total += psi.lam * float(np.real(np.sum(np.conj(v) * v)))
     assert abs(acc.values[0] - total) < 1e-10
+
+
+def test_partial_sum_matches_field_sum_over_every_index_m4():
+    # the m = 4 bases enter only through the fields here, not through the
+    # zonal trace that partial_sum uses
+    m, c, K, N = 4, 1.0, 3, 3
+    x = np.random.default_rng(90).uniform(-0.5, 0.5, (5, m))
+    acc = partial_sum(m, c, K, N, np.sum(x ** 2, axis=-1))
+    total = np.zeros(len(x))
+    for k in range(K + 1):
+        for n in range(2 * N + 2):
+            psi = make_cpswf(n, k, m, c)
+            for i in range(1, dim_monogenic(m, k) + 1):
+                v = eval_field_coeffs(psi, i, x)
+                total += psi.lam * np.sum(np.abs(v) ** 2, axis=-1)
+    assert np.all(np.abs(total - acc.values) <= 1e-12 * acc.values)
 
 
 def test_partial_sum_monotone_in_K_and_below_limit():

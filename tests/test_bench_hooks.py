@@ -2,8 +2,9 @@
 
 `bench/spans.py` wraps package functions in the namespaces that call them,
 so renaming or dropping one of those names breaks the traced benchmark.
-This check reads the module's SITES table (the module imports only the
-standard library) and resolves each entry against the imported package.
+This check reads the module's SITES and CACHES tables (the module imports
+only the standard library) and resolves each entry against the imported
+package; every CACHES entry must still be an lru cache.
 It also checks that the operator-matrix cache still builds through the
 wrapped `operators.transform_matrix`, called with four positional
 arguments, so the benchmark's transform counts stay truthful.
@@ -18,11 +19,15 @@ import pytest
 SPANS_PATH = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
 
-def _sites():
+def _spans():
     spec = importlib.util.spec_from_file_location("bench_spans", SPANS_PATH)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
-    return [(module, attr) for module, attr, *_ in spans.SITES]
+    return spans
+
+
+def _sites():
+    return [(module, attr) for module, attr, *_ in _spans().SITES]
 
 
 @pytest.mark.parametrize("module, attr", _sites())
@@ -31,6 +36,12 @@ def test_span_site_resolves(module, attr):
     for part in attr.split("."):
         owner = getattr(owner, part)
     assert callable(owner)
+
+
+@pytest.mark.parametrize("module, attr", [(module, attr) for _, module, attr in _spans().CACHES])
+def test_cache_row_resolves_to_an_lru_cache(module, attr):
+    cache = getattr(importlib.import_module(module), attr)
+    assert callable(cache.cache_info)
 
 
 def test_cache_misses_go_through_transform_matrix(monkeypatch):

@@ -81,6 +81,37 @@ def test_field_csv_columns_m2():
         assert x1 * x1 + x2 * x2 <= 1 + 1e-12
 
 
+def test_field_at_m3_degree_9():
+    res = run(*"field --n 0 --k 9 --m 3 --c 1 --grid 3".split())
+    assert res.exit_code == 0
+    assert len(res.output.splitlines()) == 1 + 5  # the 3 x 3 grid's points in the disc
+
+
+def test_commands_at_m4():
+    field = run(*"field --n 1 --k 2 --i 3 --m 4 --c 1 --grid 5".split())
+    assert field.exit_code == 0
+    header = field.output.splitlines()[0].split(",")
+    assert header[:4] == ["x1", "x2", "x3", "x4"] and len(header) == 4 + 2 * 16
+    assert all(line.split(",")[2:4] == ["0", "0"] for line in field.output.splitlines()[1:])
+    ver = run(*"verify --m 4 --c 1 --k 0..1 --nmax 2".split())
+    assert ver.exit_code == 0
+    lines = ver.output.splitlines()
+    assert len(lines) == 1 + 6 and all(line.endswith(",pass") for line in lines[1:])
+    acc = run(*"accumulate --m 4 --c 1 --K 2 --N 2 --points 5".split())
+    assert acc.exit_code == 0
+    rows = [line.split(",") for line in acc.output.splitlines()[1:]]
+    assert len(rows) == 5 and all(0 < float(g) <= float(lim) for _, g, lim in rows)
+
+
+@pytest.mark.parametrize("c, code", [("1100", 0), ("2100", 3)])
+def test_eigs_at_large_c_solves_below_the_truncation_cap(c, code):
+    # c = 1100 certifies at its first truncation, 2,218, which cannot
+    # double within the cap; c = 2100 starts past the cap
+    res = run("eigs", "--m", "2", "--k", "0", "--c", c, "--count", "2")
+    assert res.exit_code == code
+    assert len(res.stdout.splitlines()) == (3 if code == 0 else 0)
+
+
 def test_verify_pass_and_fail_exit_codes():
     ok = run("verify", "--m", "2", "--c", "1", "--k", "0..1", "--nmax", "1")
     assert ok.exit_code == 0
@@ -136,7 +167,6 @@ BAD_INPUTS = {
     "tol-zero": ({}, "radial --n 0 --k 0 --m 2 --c 1 --tol 0"),
     "tol-negative": ({}, "accumulate --m 2 --c 1 --K 1 --N 1 --tol -1"),
     "c-inf": ({}, "spectrum --m 2 --kmax 0 --nmax 0 --c inf"),
-    "k-past-basis": ({}, "field --n 0 --k 9 --m 3 --c 1 --grid 3"),
     "c-nan": ({}, "eigs --m 2 --k 0 --c nan --count 1"),
     "env-nodes-too-many": ({"CPSWF_NODES": "10000"}, "verify --m 2 --c 1 --k 0 --nmax 0"),
     "env-tol-too-loose": ({"CPSWF_TOL": "1e-3"}, "spectrum --m 2 --kmax 0 --nmax 0 --c 1"),
@@ -193,7 +223,7 @@ def test_nodes_floor_is_accepted():
     "eigs --m 2 --k 0 --c 1 --count 0",
     "radial --n 0 --k 0 --m 2 --c 1 --grid 1",
     "field --n 0 --k 0 --i 0 --m 2 --c 1",
-    "accumulate --m 4 --c 1 --K 1 --N 1",
+    "accumulate --m 9 --c 1 --K 1 --N 1",
     "legendre --m 2 --k 0 --n 65",
     "spectrum --m 2 --kmax 0 --nmax 0 --c 1 --format xml",
 ])

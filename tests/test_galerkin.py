@@ -142,9 +142,10 @@ def test_truncation_cap_raises():
         solve_radial("even", 0, 2, 1.0, 3000)
 
 
-@pytest.mark.parametrize("N", [3000, 1100])
-def test_truncation_cap_is_checked_before_any_eigensolve(monkeypatch, N):
-    # T0 = 2N + 18 either passes the cap or cannot double within it
+@pytest.mark.parametrize("N, c", [pytest.param(3000, 1.0, id="3000"),
+                                  pytest.param(0, 2100.0, id="c2100")])
+def test_truncation_cap_is_checked_before_any_eigensolve(monkeypatch, N, c):
+    # T0 = 2N + 16 + ceil(2c) passes the cap
     import cliffordprolate.galerkin as galerkin
 
     def no_solve(*a, **kw):
@@ -152,7 +153,12 @@ def test_truncation_cap_is_checked_before_any_eigensolve(monkeypatch, N):
 
     monkeypatch.setattr(galerkin, "eigh_tridiagonal", no_solve)
     with pytest.raises(ConvergenceError):
-        solve_radial("even", 0, 2, 1.0, N)
+        solve_radial("even", 0, 2, c, N)
+
+
+def test_first_truncation_below_the_cap_needs_no_room_to_double():
+    # T0 = 4,016 cannot double within the cap of 4,096, and certifies as it is
+    assert solve_block("even", 0, 2, 2000.0, 0).truncation == 4016
 
 
 @pytest.mark.parametrize("m", [2, 3])

@@ -6,17 +6,11 @@ import numpy as np
 import pytest
 
 from cliffordprolate.algebra import embed_coeffs, mul_coeffs
-from cliffordprolate.monogenics import (
-    PolyMultivector,
-    _sphere_clifford_inner,
-    basis,
-    dim_monogenic,
-    dirac,
-)
+from cliffordprolate.monogenics import PolyMultivector, basis, dim_monogenic, dirac
 from cliffordprolate.prolate import eval_field_coeffs, make_cpswf
-from cliffordprolate.special import sphere_area, sphere_rule
+from cliffordprolate.special import sphere_area
 
-from oracles import scalar_inner_coeffs
+from oracles import _sphere_clifford_inner, scalar_inner_coeffs, sphere_rule
 
 
 @pytest.mark.parametrize("m,k,d", [(2, 0, 1), (2, 5, 1), (3, 0, 1), (3, 1, 2),
@@ -25,7 +19,7 @@ def test_dimension_formula(m, k, d):
     assert dim_monogenic(m, k) == d
 
 
-@pytest.mark.parametrize("m,kmax", [(2, 6), (3, 5)])
+@pytest.mark.parametrize("m,kmax", [(2, 6), (3, 5), (4, 3)])
 def test_basis_properties(m, kmax):
     for k in range(kmax + 1):
         b = basis(m, k)
@@ -59,7 +53,7 @@ def test_clifford_inner_scalar_part_m3():
             assert abs(g[0] - (p == q)) < 1e-9
 
 
-@pytest.mark.parametrize("m,kmax", [(2, 5), (3, 4)])
+@pytest.mark.parametrize("m,kmax", [(2, 5), (3, 4), (4, 3)])
 def test_zonal_trace_constant(m, kmax):
     rng = np.random.default_rng(21)
     for k in range(kmax + 1):
@@ -86,6 +80,35 @@ def test_m2_explicit_form():
             assert abs(v[0] - z.real) < 1e-12
             assert abs(v[3] - z.imag) < 1e-12
             assert abs(v[1]) < 1e-12 and abs(v[2]) < 1e-12
+
+
+@pytest.mark.parametrize("k", [9, 12])
+def test_m3_bases_past_degree_8(k):
+    # monogenic, module-orthonormal under quadrature, and of constant
+    # zonal trace, like the degrees the tests above cover
+    els = basis(3, k).elements
+    assert len(els) == dim_monogenic(3, k)
+    rule = sphere_rule(3, 2 * k + 8)
+    for p, y in enumerate(els):
+        assert y.is_homogeneous() and y.degree() == k
+        assert dirac(y).max_coeff() < 1e-10 * y.max_coeff()
+        for q, z in enumerate(els):
+            g = _sphere_clifford_inner(y, z, rule)
+            assert np.max(np.abs(g - (p == q) * np.eye(8)[0])) < 1e-12
+    total = sum(np.sum(np.abs(y.evaluate_coeffs(rule.nodes)) ** 2, axis=-1) for y in els)
+    assert np.max(np.abs(total * sphere_area(3) / len(els) - 1)) < 1e-12
+
+
+def test_m2_closed_form_coefficients_at_degree_40():
+    # (2 pi)^(-1/2) (x1 - e12 x2)^40 = sum_j C(40, j) (-e12)^j x1^(40-j) x2^j
+    k = 40
+    terms = basis(2, k).elements[0].terms
+    assert len(terms) == k + 1
+    for j in range(k + 1):
+        ref = np.zeros(4)
+        ref[0 if j % 2 == 0 else 3] = (-1) ** ((j + 1) // 2) * math.comb(k, j)
+        ref /= math.sqrt(2 * math.pi)
+        assert np.max(np.abs(terms[k - j, j] - ref)) <= 1e-15 * math.comb(k, j)
 
 
 def test_dirac_product_rule_example():
@@ -212,14 +235,12 @@ def _from_rows_by_unique(cls, m, exps, coeffs):
 def _bases_and_products(m):
     import cliffordprolate.monogenics as monogenics
 
-    monogenics.basis_2d.cache_clear()
-    monogenics.basis_3d.cache_clear()
+    monogenics.basis.cache_clear()
     polys = []
     for k in range(9):
         for y in basis(m, k).elements:
             polys += [y, PolyMultivector.vector(m) * y]
-    monogenics.basis_2d.cache_clear()
-    monogenics.basis_3d.cache_clear()
+    monogenics.basis.cache_clear()
     return polys
 
 

@@ -16,8 +16,9 @@ from cliffordprolate.special import (
     gauss_rule_unit_interval,
     scipy_extension,
     sphere_area,
-    sphere_rule,
 )
+
+from oracles import sphere_rule
 
 
 def test_env_overrides(monkeypatch):
