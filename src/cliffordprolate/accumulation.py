@@ -34,8 +34,11 @@ class AccumulationSum:
     values: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "t_grid", np.asarray(self.t_grid, dtype=float))
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
+        # copies, so the caller's arrays cannot change the record
+        for name in ("t_grid", "values"):
+            column = np.array(getattr(self, name), dtype=float)
+            column.setflags(write=False)
+            object.__setattr__(self, name, column)
 
 
 def zonal_trace(m: int, k: int) -> float:
@@ -51,7 +54,11 @@ def limit_value(m: int, c: float) -> float:
 def partial_sum(m: int, c: float, K: int, N: int, t_grid,
                 tol: float | None = None) -> AccumulationSum:
     """Truncated accumulation sum over k <= K and radial order N' <= N
-    for both parities, evaluated at the given t = |x|^2 grid points."""
+    for both parities, evaluated at the given t = |x|^2 grid points.
+
+    Reads each degree's lambdas and radial factors as arrays from
+    cpswf_blocks; no per-order Cpswf record is built.
+    """
     _check_ints(K=K, N=N)
     if K < 0 or N < 0 or c <= 0:
         raise ValueError("require K >= 0, N >= 0, c > 0")
@@ -61,8 +68,8 @@ def partial_sum(m: int, c: float, K: int, N: int, t_grid,
     if not np.all((0 <= t) & (t <= 1)):
         raise ValueError("t grid must lie in [0, 1]")
     total = np.zeros_like(t)
-    for k, psis, values in cpswf_blocks(m, c, range(K + 1), 2 * N + 1, tol, t):
-        lam = np.array([psi.lam for psi in psis])
+    for k, orders, values in cpswf_blocks(m, c, range(K + 1), 2 * N + 1, tol, t):
+        lam = orders.lam
         # even orders weigh P(t)^2, odd orders t Q(t)^2
         acc = lam[0::2] @ values[0::2] ** 2 + t * (lam[1::2] @ values[1::2] ** 2)
         total += zonal_trace(m, k) * t ** k * acc

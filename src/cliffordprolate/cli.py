@@ -129,6 +129,11 @@ _NONNEG = click.IntRange(min=0)
 _GRID = click.IntRange(min=2)
 
 
+def _spectral_rows(orders):
+    """(n, (chi, lambda, |mu|)) for each order, read from the block arrays."""
+    return enumerate(zip(orders.chi.tolist(), orders.lam.tolist(), map(abs, orders.mu.tolist())))
+
+
 @command()
 @click.option("--m", type=_M_ANY, required=True)
 @click.option("--k", type=_NONNEG, required=True)
@@ -148,9 +153,9 @@ def eigs(m, k, c, count, tol):
         odd = solve_block("odd", k, m, 0.0, (count - 2) // 2, tol) if count > 1 else ()
         chis = [(odd if n % 2 else even)[n // 2].chi for n in range(count)]
         return columns, [[n, k, chi, 0.0, 0.0, (n + k) % 4] for n, chi in enumerate(chis)]
-    [(_, psis, _)] = cpswf_blocks(m, c, [k], count - 1, tol)
-    return columns, [[n, k, psi.chi, psi.lam, abs(psi.mu), (n + k) % 4]
-                     for n, psi in enumerate(psis)]
+    [(_, orders, _)] = cpswf_blocks(m, c, [k], count - 1, tol)
+    return columns, [[n, k, chi, lam, abs_mu, (n + k) % 4]
+                     for n, (chi, lam, abs_mu) in _spectral_rows(orders)]
 
 
 @command()
@@ -160,9 +165,9 @@ def eigs(m, k, c, count, tol):
 @click.option("--c", type=float, required=True)
 def spectrum(m, kmax, nmax, c, tol):
     """Table of (n, k, chi, lambda, |mu|) sorted by (k, n)."""
-    rows = [[n, k, psi.chi, psi.lam, abs(psi.mu)]
-            for k, psis, _ in cpswf_blocks(m, c, range(kmax + 1), nmax, tol)
-            for n, psi in enumerate(psis)]
+    rows = [[n, k, chi, lam, abs_mu]
+            for k, orders, _ in cpswf_blocks(m, c, range(kmax + 1), nmax, tol)
+            for n, (chi, lam, abs_mu) in _spectral_rows(orders)]
     return ["n", "k", "chi", "lambda", "abs_mu"], rows
 
 
@@ -239,8 +244,8 @@ def verify(m, c, kspec, nmax, threshold, tol):
         raise ValueError(f"--threshold must be a finite number > 0, got {threshold:g}")
     rows = []
     ok = True
-    for k, psis, _ in cpswf_blocks(m, c, _k_range(kspec), nmax, tol):
-        for n, psi in enumerate(psis):
+    for k, orders, _ in cpswf_blocks(m, c, _k_range(kspec), nmax, tol):
+        for n, psi in enumerate(orders):
             rep = op_verify(psi)
             passed = rep.gc_residual <= threshold and rep.residual <= threshold
             ok = ok and passed

@@ -69,17 +69,18 @@ class BonnetCoeffs:
     B_prime: float | np.ndarray
 
 
-def bonnet_coeffs(N, k: int, m: int) -> BonnetCoeffs:
+def bonnet_coeffs(N, k, m: int) -> BonnetCoeffs:
     """Coefficients of the Bonnet three-term relations for normalized
     Clifford-Legendre polynomials:
 
         p_N = A_N q_N + B_N q_(N-1)
         -t q_N = A'_N p_(N+1) + B'_N p_N
 
-    N may be an integer or an integer array; the fields take its shape.
+    N and k may be integers or integer arrays that broadcast; the fields
+    take their broadcast shape.
     """
     N = np.asarray(N)
-    if np.any(N < 0) or k < 0 or m < 2:
+    if np.any(N < 0) or np.any(np.asarray(k) < 0) or m < 2:
         raise ValueError("require N >= 0, k >= 0, m >= 2")
     h = m / 2
     s = m + 4 * N + 2 * k
@@ -93,16 +94,27 @@ def bonnet_coeffs(N, k: int, m: int) -> BonnetCoeffs:
     return BonnetCoeffs(a, b, ap, bp)
 
 
-def _bonnet_rows(k: int, m: int, N_max: int, one: np.ndarray, times_t):
+def _bonnet_rows(k, m: int, N_max: int, one: np.ndarray, times_t):
     """Yield the rows (p_N, q_N), N = 0..N_max, of the interleaved recurrence.
 
     `one` is the row of the constant 1 and times_t multiplies a row by t,
     so the same loop runs on monomial coefficients and on sampled values.
+    k is a degree, or a 1-D array of G degrees whose rows `one` stacks on
+    its first axis.
     """
-    bc = bonnet_coeffs(np.arange(N_max + 1), k, m)
-    # Python floats: a list index is cheaper than a numpy scalar in the loop
-    A, B, Ap, Bp = (c.tolist() for c in (bc.A, bc.B, bc.A_prime, bc.B_prime))
-    p, q = math.sqrt(2 * k + m) * one, 0.0
+    if np.ndim(k) == 0:
+        bc = bonnet_coeffs(np.arange(N_max + 1), k, m)
+        # Python floats: a list index is cheaper than a numpy scalar in the loop
+        A, B, Ap, Bp = (c.tolist() for c in (bc.A, bc.B, bc.A_prime, bc.B_prime))
+        p = math.sqrt(2 * k + m) * one
+    else:
+        # one coefficient per degree, broadcast over the points of its row
+        k, to_row = np.asarray(k), (-1,) + (1,) * (one.ndim - 1)
+        bc = bonnet_coeffs(np.arange(N_max + 1)[:, None], k, m)
+        A, B, Ap, Bp = (c.reshape((N_max + 1,) + to_row)
+                        for c in (bc.A, bc.B, bc.A_prime, bc.B_prime))
+        p = np.sqrt(2 * k + m).reshape(to_row) * one
+    q = 0.0
     for N in range(N_max + 1):
         q = (p - B[N] * q) / A[N]
         yield p, q
@@ -130,15 +142,21 @@ def radial_sequence(k: int, m: int, N_max: int):
     return p_out, q_out
 
 
-def radial_values(k: int, m: int, N_max: int, t):
+def radial_values(k, m: int, N_max: int, t):
     """Values p_N(t), q_N(t) for N = 0..N_max, each of shape (N_max+1,) + t.shape.
 
     Runs the Bonnet recurrence in value space, which stays well
     conditioned at orders where monomial coefficients overflow cancel.
+    k may be a 1-D integer array of G degrees: then one recurrence runs
+    them all, each table has shape (N_max+1, G) + t.shape, and the slice
+    [:, g] of degree k[g] equals radial_values(k[g], m, N_max, t) bit for bit.
     """
     t = np.asarray(t, dtype=float)
-    pv, qv = zip(*_bonnet_rows(k, m, N_max, np.ones(t.shape), lambda v: t * v))
-    return np.array(pv), np.array(qv)
+    one = np.ones(np.shape(k) + t.shape)
+    pv, qv = np.empty((N_max + 1,) + one.shape), np.empty((N_max + 1,) + one.shape)
+    for N, (p, q) in enumerate(_bonnet_rows(k, m, N_max, one, lambda v: t * v)):
+        pv[N], qv[N] = p, q
+    return pv, qv
 
 
 def radial_series(k: int, m: int, parity: str, coeffs, t) -> np.ndarray:

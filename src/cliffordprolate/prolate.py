@@ -11,8 +11,12 @@ chi), of the finite Fourier transform G_c (eigenvalue mu, with phase
 i^(k+n) up to a sign convention), and of the time-frequency limiting
 operator QP_c = c^m G_c* G_c (eigenvalue lambda = c^m |mu|^2).
 
-make_cpswf builds one record and cpswf_blocks every order 0..n_max of each
-degree k, both a whole Galerkin block at a time (_block_cpswfs).
+Each (parity, k) Galerkin block gives one record of arrays, CpswfBlock
+(_block_cpswfs): _active, value_at_zero, mu and lambda of all its orders.
+cpswf_blocks yields the orders 0..n_max of each degree k as a CpswfOrders
+over its even and odd records, with their radial factors from one Bonnet
+recurrence per group of degrees; a Cpswf is built only on request, as one
+column of a record, and make_cpswf is the last column of its block's.
 eval_field_coeffs evaluates every basis index of a record at one point set
 from one table of the radial factor times the monomials (_field_table).
 """
@@ -36,7 +40,8 @@ from .special import gamma_fn
 
 @dataclass(frozen=True)
 class Cpswf:
-    """One CPSWF; _block_cpswfs builds it with the other orders of its block.
+    """One CPSWF: a view of one column of its block's record (CpswfBlock),
+    built on request when a CpswfOrders is indexed or iterated.
 
     lam, the concentration eigenvalue c^m |mu|^2, lies in (0, 1].  Computed,
     it can pass 1 by rounding, in the T-term sum P(0) (or Q(0)) and in the
@@ -87,9 +92,83 @@ def _check_t(t: np.ndarray) -> None:
         raise ValueError("t must be finite and lie in [0, 1]")
 
 
+@dataclass(frozen=True, eq=False)
+class CpswfBlock:
+    """The CPSWFs of one (parity, k) Galerkin block, orders n = 2N + odd,
+    as read-only arrays over N = 0..N_max: active, value_at_zero, mu, lam,
+    and chi from the block itself.  record[N] builds the Cpswf of column N."""
+
+    block: RadialEigenpair
+    basis_at_zero: np.ndarray
+    odd: int
+    k: int
+    m: int
+    c: float
+    active: np.ndarray
+    value_at_zero: np.ndarray
+    mu: np.ndarray
+    lam: np.ndarray
+
+    def __post_init__(self):
+        for column in (self.basis_at_zero, self.active, self.value_at_zero, self.mu, self.lam):
+            column.setflags(write=False)
+
+    @property
+    def chi(self) -> np.ndarray:
+        return self.block.chi
+
+    def __getitem__(self, N: int) -> Cpswf:
+        N = range(self.lam.size)[N]
+        return Cpswf(2 * N + self.odd, self.k, self.m, self.c, self.block[N], self.basis_at_zero,
+                     int(self.active[N]), float(self.value_at_zero[N]),
+                     complex(self.mu[N]), float(self.lam[N]))
+
+
+@dataclass(frozen=True, eq=False)
+class CpswfOrders:
+    """The orders n = 0..n_max of one degree: order 2N is column N of the
+    even block's record and order 2N + 1 column N of the odd one's.
+
+    chi, active, value_at_zero, mu and lam are read-only arrays of shape
+    (n_max+1,) in order n.  Indexing or iterating builds the Cpswf records
+    on request; `orders + [...]` concatenates them as a list.
+    """
+
+    blocks: tuple  # (even,) or (even, odd) CpswfBlock records
+    n_max: int
+
+    def _column(self, name: str) -> np.ndarray:
+        out = np.empty(self.n_max + 1, dtype=getattr(self.blocks[0], name).dtype)
+        for odd, record in enumerate(self.blocks):
+            out[odd::2] = getattr(record, name)[:(self.n_max + 2 - odd) // 2]
+        out.setflags(write=False)
+        return out
+
+    chi = property(lambda self: self._column("chi"))
+    active = property(lambda self: self._column("active"))
+    value_at_zero = property(lambda self: self._column("value_at_zero"))
+    mu = property(lambda self: self._column("mu"))
+    lam = property(lambda self: self._column("lam"))
+
+    def __len__(self) -> int:
+        return self.n_max + 1
+
+    def __getitem__(self, n):
+        if isinstance(n, slice):
+            return [self[i] for i in range(len(self))[n]]
+        n = range(len(self))[n]
+        return self.blocks[n % 2][n // 2]
+
+    def __iter__(self):
+        return (self[n] for n in range(len(self)))
+
+    def __add__(self, other) -> list:
+        return list(self) + list(other)
+
+
 def _block_cpswfs(block: RadialEigenpair, zero: np.ndarray, odd: int,
-                  k: int, m: int, c: float) -> list[Cpswf]:
-    """The CPSWFs of orders n = 2N + odd of one parity block, from its
+                  k: int, m: int, c: float) -> CpswfBlock:
+    """The record of orders n = 2N + odd of one parity block, from its
     radial basis at t = 0, p_i(0) (even) or q_i(0) (odd).
 
     _active counts the leading coefficients that matter: on [0, 1],
@@ -101,21 +180,30 @@ def _block_cpswfs(block: RadialEigenpair, zero: np.ndarray, odd: int,
     q^k_N = -p^(k+1)_N) with the sign flipped.  Its phase is i^kappa times
     a real sign; the constant is pinned against quadrature of the defining
     integral (operators.verify, the test oracles).  lam = c^m |mu|^2.
+    Every column equals its order's own Python scalar formulas to the bit.
     """
     zero = np.array(zero[:block.truncation])  # BLAS rounds a strided dot differently
-    zero.setflags(write=False)
     bound = np.abs(block.coeffs * zero[:, None])
     keep = bound > 1e-16 * bound.max(axis=0)
-    active = (block.truncation - np.argmax(keep[::-1], axis=0)).tolist()
-    at_zero = [float(block.coeffs[:na, j] @ zero[:na]) for j, na in enumerate(active)]
+    active = block.truncation - np.argmax(keep[::-1], axis=0)
+    # one dot per order: a matrix product rounds P(0) differently
+    at_zero = np.array([block.coeffs[:na, j] @ zero[:na] for j, na in enumerate(active.tolist())])
     kappa = k + odd
     phase = -(1j ** kappa) if odd else 1j ** kappa
     num = phase * math.sqrt(2 * kappa + m) * math.pi ** (kappa + m / 2) * c ** kappa
     den = gamma_fn(kappa + m / 2 + 1)
-    # Python complex / float per order: numpy's complex division rounds differently
-    mus = [num * a / (den * v) for a, v in zip(block.coeffs[0].tolist(), at_zero)]
-    return [Cpswf(2 * N + odd, k, m, c, block[N], zero, na, v, mu, c ** m * abs(mu) ** 2)
-            for N, (na, v, mu) in enumerate(zip(active, at_zero, mus))]
+    # Python's complex * float and complex / float, signed zeros included:
+    # a / d = ((a.re + a.im r) / d, (a.im - a.re r) / d) with r = 0.0 / d
+    a = np.complex128(num) * block.coeffs[0]
+    d = den * at_zero
+    r = 0.0 / d
+    mu = np.empty(d.shape, dtype=complex)
+    mu.real = (a.real + a.imag * r) / d
+    mu.imag = (a.imag - a.real * r) / d
+    # Python's abs and ** call libm hypot and pow, as np.hypot and
+    # np.float_power do; np.abs and ** 2 round differently
+    lam = c ** m * np.float_power(np.hypot(mu.real, mu.imag), 2.0)
+    return CpswfBlock(block, zero, odd, k, m, c, active, at_zero, mu, lam)
 
 
 def _check_order(n: int, ks: list, c: float) -> None:
@@ -127,24 +215,33 @@ def _check_order(n: int, ks: list, c: float) -> None:
 
 
 def make_cpswf(n: int, k: int, m: int, c: float, tol: float | None = None) -> Cpswf:
-    """The order-n CPSWF: the last order of its one-parity Galerkin block."""
+    """The order-n CPSWF: the last column of its one-parity block's record."""
     _check_order(n, [k], c)
     block = solve_block("even" if n % 2 == 0 else "odd", k, m, c, n // 2, tol)
     table = radial_values(k, m, block.truncation - 1, np.zeros(1))[n % 2]
     return _block_cpswfs(block, table[:, 0], n % 2, k, m, float(c))[-1]
 
 
+# degrees per Bonnet recurrence in cpswf_blocks.  A group's tables hold
+# 2 x rows x G x points floats, so a larger group takes fewer recurrence steps
+# but more memory: partial_sum(3, 4, K = N = 30) on 33 points peaked at
+# 0.23 MB of traced allocations one degree at a time, 0.69 MB at 8, 1.2 MB at 16
+_GROUP = 8
+
+
 def cpswf_blocks(m: int, c: float, ks, n_max: int, tol: float | None = None, t=()):
-    """Yield (k, psis, values) for each degree k in ks: the CPSWFs
-    psi_0^k..psi_(n_max)^k and their radial factors P(t) (even n) or Q(t)
-    (odd n), an array of shape (n_max+1,) + t.shape.
+    """Yield (k, orders, values) for each degree k in ks: orders, a
+    CpswfOrders, holds psi_0^k..psi_(n_max)^k as arrays, and values their
+    radial factors P(t) (even n) or Q(t) (odd n), of shape
+    (n_max+1,) + t.shape.
 
     Each degree takes one even block solve of orders 0..n_max//2 (see
     galerkin.solve_block); its odd block is the even block of degree k + 1
     (galerkin.as_odd), which the next degree of ks reuses, so degrees 0..K
-    take K + 2 solves.  One radial_values table per degree, with t = 0 in
-    its first column, gives every order its mu, lambda and values; these
-    equal make_cpswf's whenever the solves do.
+    take K + 2 solves.  Consecutive degrees of ks are solved in groups of
+    up to 8, and one radial_values table per group, with t = 0 in its first
+    column, gives every order its mu and lambda and, by one product per
+    block, its values; these equal make_cpswf's whenever the solves do.
     """
     ks = list(ks)
     _check_order(n_max, ks, c)
@@ -152,19 +249,39 @@ def cpswf_blocks(m: int, c: float, ks, n_max: int, tol: float | None = None, t=(
     _check_t(t)
     points = np.concatenate(([0.0], t.ravel()))
     ahead = None  # (k + 1, its even block), for the next degree to reuse
-    for k in ks:
-        blocks = [ahead[1] if ahead and ahead[0] == k
-                  else solve_block("even", k, m, c, n_max // 2, tol)]
-        if n_max > 0:
-            ahead = (k + 1, solve_block("even", k + 1, m, c, n_max // 2, tol))
-            blocks.append(as_odd(ahead[1], k, m))
-        tables = radial_values(k, m, max(b.truncation for b in blocks) - 1, points)
-        by_parity = [_block_cpswfs(b, table[:, 0], odd, k, m, float(c))
-                     for odd, (b, table) in enumerate(zip(blocks, tables))]
-        psis = [by_parity[n % 2][n // 2] for n in range(n_max + 1)]
-        values = [psi.coeffs[:psi._active] @ tables[n % 2][:psi._active, 1:]
-                  for n, psi in enumerate(psis)]
-        yield k, psis, np.reshape(values, (n_max + 1,) + t.shape)
+    for start in range(0, len(ks), _GROUP):
+        group = ks[start:start + _GROUP]
+        solved = []
+        for k in group:
+            blocks = [ahead[1] if ahead and ahead[0] == k
+                      else solve_block("even", k, m, c, n_max // 2, tol)]
+            if n_max > 0:
+                ahead = (k + 1, solve_block("even", k + 1, m, c, n_max // 2, tol))
+                blocks.append(as_odd(ahead[1], k, m))
+            solved.append(blocks)
+        rows = max(b.truncation for blocks in solved for b in blocks)
+        tables = radial_values(np.array(group), m, rows - 1, points)
+        for g, (k, blocks) in enumerate(zip(group, solved)):
+            yield k, *_degree_orders(blocks, [table[:, g] for table in tables],
+                                     k, m, float(c), n_max, t.shape)
+        del tables  # two groups' tables alive at once raised the peak memory by half
+
+
+def _degree_orders(blocks: list, tables: list, k: int, m: int, c: float, n_max: int,
+                   shape: tuple) -> tuple[CpswfOrders, np.ndarray]:
+    """The orders 0..n_max of degree k and their radial factors, of shape
+    (n_max+1,) + shape, from its even (and odd) block and the block's radial
+    basis table, whose first column is at t = 0 and the rest at the points."""
+    records = tuple(_block_cpswfs(b, table[:, 0], odd, k, m, c)
+                    for odd, (b, table) in enumerate(zip(blocks, tables)))
+    values = np.empty((n_max + 1, tables[0].shape[1] - 1))
+    for odd, (record, table) in enumerate(zip(records, tables)):
+        T, count = record.block.truncation, (n_max + 2 - odd) // 2
+        # coefficients past each order's active length count as 0
+        cz = np.where(np.arange(T)[:, None] < record.active[:count],
+                      record.block.coeffs[:, :count], 0.0)
+        values[odd::2] = cz.T @ table[:T, 1:]
+    return CpswfOrders(records, n_max), values.reshape((n_max + 1,) + shape)
 
 
 def eval_radial(psi: Cpswf, r) -> np.ndarray:

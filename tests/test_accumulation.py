@@ -92,8 +92,8 @@ def test_partial_sum_stays_below_its_limit():
 
 def test_partial_sum_solves_blocks(monkeypatch):
     # K + 2 even block solves, each certified at its first truncation by
-    # one eigensolve, and one value table per degree; one order at a time
-    # took 3,844 of each
+    # one eigensolve, and one value table per group of up to 8 degrees;
+    # one order at a time took 3,844 of each
     import cliffordprolate.galerkin as galerkin
     import cliffordprolate.prolate as prolate
 
@@ -110,4 +110,35 @@ def test_partial_sum_solves_blocks(monkeypatch):
     K = 30
     partial_sum(3, 4.0, K, 30, np.linspace(0, 1, 33))
     assert calls["eig"] == K + 2
-    assert calls["table"] == K + 1
+    assert calls["table"] == -(-(K + 1) // 8)
+
+
+def test_partial_sum_builds_no_per_order_record(monkeypatch):
+    # the sum reads each block's lambdas and values as arrays: no Cpswf and
+    # no per-order RadialEigenpair view is made
+    import cliffordprolate.prolate as prolate
+    from cliffordprolate.galerkin import RadialEigenpair
+
+    built = []
+    cpswf = prolate.Cpswf
+    view = RadialEigenpair.__getitem__
+    monkeypatch.setattr(prolate, "Cpswf", lambda *a: built.append("Cpswf") or cpswf(*a))
+    monkeypatch.setattr(RadialEigenpair, "__getitem__",
+                        lambda self, N: built.append("view") or view(self, N))
+    acc = partial_sum(3, 4.0, 9, 9, np.linspace(0, 1, 5))
+    assert built == []
+    assert np.all(acc.values > 0)
+    make_cpswf(3, 1, 3, 4.0)  # the counters do see a record built on request
+    assert built == ["view", "Cpswf"]
+
+
+def test_sum_record_owns_read_only_copies():
+    t = np.linspace(0, 1, 3)
+    acc = partial_sum(2, 1.0, 1, 1, t)
+    values = acc.values.copy()
+    t[1] = 0.9
+    assert np.array_equal(acc.t_grid, [0.0, 0.5, 1.0])
+    assert np.array_equal(acc.values, values)
+    for column in (acc.t_grid, acc.values):
+        with pytest.raises(ValueError):
+            column[0] = 1.0

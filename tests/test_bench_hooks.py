@@ -7,7 +7,9 @@ only the standard library) and resolves each entry against the imported
 package; every CACHES entry must still be an lru cache.
 It also checks that the operator-matrix cache still builds through the
 wrapped `operators.transform_matrix`, called with four positional
-arguments, so the benchmark's transform counts stay truthful.
+arguments, so the benchmark's transform counts stay truthful, and that
+every table `prolate.radial_values` returns unpacks as the recurrence
+counter expects.
 """
 
 import importlib
@@ -64,3 +66,21 @@ def test_cache_misses_go_through_transform_matrix(monkeypatch):
     assert sorted(seen) == sorted([(operators.GRID_POINTS,), nodes])
     operators.verify(psi)
     assert len(seen) == 2
+
+
+def test_recurrence_counter_unpacks_every_table(monkeypatch):
+    # the legendre.recurrence span wraps prolate.radial_values and counts
+    # `pv, _ = out; pv.size`, for a table of grouped degrees too
+    import numpy as np
+    from cliffordprolate import partial_sum, prolate
+
+    calls = []
+    real = prolate.radial_values
+    monkeypatch.setattr(prolate, "radial_values",
+                        lambda *a: calls.append((a, real(*a))) or calls[-1][1])
+    partial_sum(3, 4.0, 9, 4, np.linspace(0, 1, 5))
+    assert len(calls) == 2  # degrees 0..7 and 8..9
+    count = _spans()._values
+    for args, out in calls:
+        assert len(out) == 2 and isinstance(out[0], np.ndarray)
+        assert count(args, {}, out) == {"values": out[0].size} and out[0].size > 0

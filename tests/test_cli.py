@@ -326,3 +326,25 @@ def test_cli_process_loads_only_the_scipy_extensions_it_calls(args, code, loaded
                          capture_output=True, text=True)
     assert res.returncode == code, res.stderr
     assert res.stderr.splitlines()[-1] == f"scipy: {loaded}"
+
+
+def test_eigs_and_spectrum_read_block_arrays(monkeypatch):
+    # both tables come from the block records' arrays; no Cpswf and no
+    # per-order RadialEigenpair view is made for them
+    import cliffordprolate.prolate as prolate
+    from cliffordprolate.galerkin import RadialEigenpair
+
+    built = []
+    cpswf = prolate.Cpswf
+    view = RadialEigenpair.__getitem__
+    monkeypatch.setattr(prolate, "Cpswf", lambda *a: built.append("Cpswf") or cpswf(*a))
+    monkeypatch.setattr(RadialEigenpair, "__getitem__",
+                        lambda self, N: built.append("view") or view(self, N))
+    eigs = run("eigs", "--m", "3", "--k", "2", "--c", "4", "--count", "7")
+    spectrum = run("spectrum", "--m", "2", "--kmax", "3", "--nmax", "4", "--c", "2")
+    assert eigs.exit_code == spectrum.exit_code == 0
+    assert built == []
+    rows = [line.split(",") for line in eigs.output.splitlines()[1:]]
+    [(_, orders, _)] = cliffordprolate.cpswf_blocks(3, 4.0, [2], 6)
+    assert [[float(v) for v in row[2:5]] for row in rows] == [
+        [psi.chi, psi.lam, abs(psi.mu)] for psi in orders]

@@ -200,3 +200,29 @@ def test_radial_series_is_the_table_sum(parity):
     got = radial_series(3, 2, parity, coeffs, t)
     assert got.shape == (2, 3)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("t", [np.linspace(0.0, 1.0, 10), np.linspace(0.0, 1.0, 6).reshape(2, 3)],
+                         ids=["1d", "2d"])
+def test_radial_values_of_many_degrees_equal_each_degree_alone(t):
+    ks = np.array([0, 1, 2, 3, 5, 7, 8, 11, 19, 30, 3, 0])
+    for m in (2, 3, 5):
+        pv, qv = radial_values(ks, m, 83, t)
+        assert pv.shape == qv.shape == (84, ks.size) + t.shape
+        for g, k in enumerate(ks.tolist()):
+            p_one, q_one = radial_values(k, m, 83, t)
+            assert np.array_equal(pv[:, g], p_one) and np.array_equal(qv[:, g], q_one)
+
+
+def test_bonnet_coeffs_broadcast_degrees_against_orders():
+    N, ks = np.arange(7)[:, None], np.array([0, 2, 9])
+    cf = bonnet_coeffs(N, ks, 3)
+    assert cf.A.shape == cf.B.shape == cf.A_prime.shape == cf.B_prime.shape == (7, 3)
+    for g, k in enumerate(ks.tolist()):
+        one = bonnet_coeffs(np.arange(7), k, 3)
+        for field in ("A", "B", "A_prime", "B_prime"):
+            assert np.array_equal(getattr(cf, field)[:, g], getattr(one, field))
+    with pytest.raises(ValueError, match="require N >= 0, k >= 0"):
+        bonnet_coeffs(N, np.array([1, -1]), 3)
+    with pytest.raises(ValueError, match="require N >= 0, k >= 0"):
+        radial_values(np.array([2, -1]), 3, 4, np.zeros(2))

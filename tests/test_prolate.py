@@ -467,3 +467,69 @@ def test_numpy_integers_are_accepted():
     one = make_cpswf(np.int64(3), np.int32(1), np.int64(3), 1.5)
     ref = make_cpswf(3, 1, 3, 1.5)
     assert (one.chi, one.mu, one.lam) == (ref.chi, ref.mu, ref.lam)
+
+
+GROUPINGS = {
+    "non-consecutive": ([1, 2, 4], 5, False),
+    "descending": ([5, 3, 4], 5, False),
+    "repeated": ([3, 3], 4, False),
+    "one-shot": ([2, 0, 1], 3, True),
+    "no-odd-block": ([0, 1, 2], 0, False),
+    "three-groups": (list(range(20)), 3, False),
+}
+
+
+@pytest.mark.parametrize("ks, n_max, one_shot", GROUPINGS.values(), ids=GROUPINGS.keys())
+def test_grouped_degrees_equal_one_degree_at_a_time(ks, n_max, one_shot):
+    # degrees share one recurrence per group; every record must still equal
+    # its per-order formulas and the solve of its degree alone, to the bit,
+    # and every radial factor that degree's own table
+    m, c = 3, 2.0
+    t = np.linspace(0, 1, 6)
+    run = list(cpswf_blocks(m, c, iter(ks) if one_shot else ks, n_max, t=t))
+    assert [k for k, _, _ in run] == ks
+    for k, orders, values in run:
+        [(_, alone, alone_values)] = cpswf_blocks(m, c, [k], n_max, t=t)
+        assert len(orders) == n_max + 1 and len(orders.blocks) == min(n_max + 1, 2)
+        for psi, one in zip(orders, alone):
+            assert (psi.n, psi.k, psi._active) == (one.n, one.k, one._active)
+            assert _bits(psi.chi, psi.value_at_zero, psi.mu, psi.lam) == _bits(
+                one.chi, one.value_at_zero, one.mu, one.lam)
+            assert np.array_equal(psi.coeffs, one.coeffs)
+            ref = order_quantities(psi.n, k, m, c, psi.pair, psi.basis_at_zero)
+            assert psi._active == ref[0]
+            assert _bits(psi.value_at_zero, psi.mu, psi.lam) == _bits(*ref[1:])
+        assert values.shape == alone_values.shape == (n_max + 1, t.size)
+        scale = np.max(np.abs(alone_values), axis=1, keepdims=True)
+        assert np.all(np.abs(values - alone_values) <= 1e-14 * scale)
+
+
+def test_orders_expose_read_only_arrays_in_order_n():
+    [(_, orders, _)] = cpswf_blocks(3, 4.0, [2], 6)
+    psis = list(orders)
+    assert [psi.n for psi in psis] == list(range(7))
+    for name, get in [("chi", lambda p: p.chi), ("active", lambda p: p._active),
+                      ("value_at_zero", lambda p: p.value_at_zero),
+                      ("mu", lambda p: p.mu), ("lam", lambda p: p.lam)]:
+        column = getattr(orders, name)
+        assert column.shape == (7,)
+        assert _bits(*column.tolist()) == _bits(*map(get, psis)), name
+        with pytest.raises(ValueError):
+            column[0] = 0
+    assert orders[-1].n == 6 and [psi.n for psi in orders[1::3]] == [1, 4]
+    with pytest.raises(IndexError):
+        orders[7]
+    for record in orders.blocks:
+        for column in (record.active, record.value_at_zero, record.mu, record.lam):
+            with pytest.raises(ValueError):
+                column[0] = 0
+
+
+@pytest.mark.parametrize("m, c, k, n_max", [(3, 4.0, 17, 9), (3, 4.0, 18, 9), (3, 0.5, 11, 21)])
+def test_lambda_rounds_as_python_pow(m, c, k, n_max):
+    # lam = c^m |mu|^2 rounds as Python's abs and ** 2, which call libm hypot
+    # and pow; numpy's ** 2 squares, and on these blocks it gives lam one ulp off
+    [(_, orders, _)] = cpswf_blocks(m, c, [k], n_max)
+    for psi in orders:
+        ref = order_quantities(psi.n, k, m, c, psi.pair, psi.basis_at_zero)
+        assert _bits(psi.mu, psi.lam) == _bits(*ref[2:])
