@@ -13,8 +13,7 @@ Library layout:
 """
 
 from .algebra import Multivector, blade_product, embed
-from .galerkin import (ConvergenceError, SymTridiag, build_even, build_odd, solve_block,
-                       solve_radial)
+from .galerkin import ConvergenceError, SymTridiag, solve_block, solve_radial
 from .legendre import bonnet_coeffs, c0_eigenvalue, radial_sequence
 from .monogenics import MonogenicBasis, PolyMultivector, basis, dim_monogenic, dirac
 from .prolate import Cpswf, cpswf_blocks, eval_field, eval_radial, make_cpswf
@@ -25,8 +24,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Multivector", "blade_product", "embed",
-    "ConvergenceError", "SymTridiag", "build_even", "build_odd", "solve_block",
-    "solve_radial",
+    "ConvergenceError", "SymTridiag", "solve_block", "solve_radial",
     "bonnet_coeffs", "c0_eigenvalue", "radial_sequence",
     "MonogenicBasis", "PolyMultivector", "basis", "dim_monogenic", "dirac",
     "Cpswf", "cpswf_blocks", "eval_field", "eval_radial", "make_cpswf",

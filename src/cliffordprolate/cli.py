@@ -200,25 +200,19 @@ def field(n, k, idx, m, c, grid, tol):
     Points outside the closed unit ball are omitted.
     """
     psi = make_cpswf(n, k, m, c, tol)
-    ax = np.linspace(-1.0, 1.0, grid)
-    pts = []
-    for x1 in ax:
-        for x2 in ax:
-            if x1 * x1 + x2 * x2 <= 1.0:
-                pts.append((x1, x2) + (0.0,) * (m - 2))
-    pts = np.array(pts)
+    x1, x2 = np.meshgrid(*[np.linspace(-1.0, 1.0, grid)] * 2, indexing="ij")
+    disk = x1 * x1 + x2 * x2 <= 1.0
+    pts = np.zeros((np.count_nonzero(disk), m))  # x1 outer, x2 inner: the output row order
+    pts[:, 0], pts[:, 1] = x1[disk], x2[disk]
     vals = eval_field_coeffs(psi, idx, pts)
     cols = [f"x{j + 1}" for j in range(m)]
     for mask in range(1 << m):
         name = "e" + "".join(str(j + 1) for j in range(m) if mask >> j & 1) if mask else "e0"
         cols += [f"{name}_re", f"{name}_im"]
-    rows = []
-    for p, v in zip(pts, vals):
-        row = [float(x) for x in p]
-        for mask in range(1 << m):
-            row += [float(v[mask].real), float(v[mask].imag)]
-        rows.append(row)
-    return cols, rows
+    # a point, then (re, im) of each blade; a grid of corners only has no rows
+    rows = np.empty((len(pts), len(cols)))
+    rows[:, :m], rows[:, m::2], rows[:, m + 1::2] = pts, vals.real, vals.imag
+    return cols, rows.tolist()
 
 
 def _k_range(text: str) -> range:

@@ -8,7 +8,8 @@ size T and solving the eigenproblem yields the coefficient vectors
 differential eigenvalues chi.
 
 The two families satisfy M^o_k = M^e_(k+1) + (4k+2m) I, hence
-chi_(2N+1)^k = chi_(2N)^(k+1) + 4k + 2m and beta^k_N = alpha^(k+1)_N.
+chi_(2N+1)^k = chi_(2N)^(k+1) + 4k + 2m and beta^k_N = alpha^(k+1)_N; so
+build makes only the even matrix M^e_k.
 
 solve_block is the one solver: one eigensolve of a truncated matrix gives
 every order 0..N_max of a (parity, k) as one record, accepted at the first
@@ -36,12 +37,10 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class SymTridiag:
+    """A read-only symmetric tridiagonal matrix: diag (T,) and offdiag (T-1,)."""
+
     diag: np.ndarray
     offdiag: np.ndarray
-    parity: str
-    k: int
-    m: int
-    c: float
 
     def __post_init__(self):
         d = np.asarray(self.diag, dtype=float)
@@ -113,8 +112,9 @@ def eigh_tridiagonal(d, e, *, select_range, select="i", tol=0.0):
     return w[order], vecs[:, order]
 
 
-def build_even(k: int, m: int, c: float, T: int) -> SymTridiag:
-    """Truncated matrix M^e_k acting on even-order coefficients alpha.
+def build(k: int, m: int, c: float, T: int) -> SymTridiag:
+    """Truncated matrix M^e_k acting on even-order coefficients alpha; the
+    odd family needs no matrix of its own (as_odd).
 
     The i = 0 sub-term i^2/(k+2i+m/2-1) is defined as 0 even when its
     denominator vanishes (k=0, m=2): in the Bonnet derivation it carries
@@ -135,26 +135,7 @@ def build_even(k: int, m: int, c: float, T: int) -> SymTridiag:
     j = i[:-1]
     off = -w * (j + 1) * (k + j + h) / (
         (k + 2 * j + h + 1) * np.sqrt((k + 2 * j + h + 2) * (k + 2 * j + h)))
-    return SymTridiag(diag.astype(float), off.astype(float), "even", k, m, float(c))
-
-
-def build_odd(k: int, m: int, c: float, T: int) -> SymTridiag:
-    """Truncated matrix M^o_k acting on odd-order coefficients beta.
-
-    Constructed through the exact identity M^o_k = M^e_(k+1) + (4k+2m) I
-    so that the identity holds to the last bit; the test suite checks
-    this construction against the direct entry formulas of M^o_k.
-    """
-    base = build_even(k + 1, m, c, T)
-    return SymTridiag(base.diag + (4 * k + 2 * m), base.offdiag, "odd", k, m, float(c))
-
-
-def build(parity: str, k: int, m: int, c: float, T: int) -> SymTridiag:
-    if parity == "even":
-        return build_even(k, m, c, T)
-    if parity == "odd":
-        return build_odd(k, m, c, T)
-    raise ValueError("parity must be 'even' or 'odd'")
+    return SymTridiag(diag.astype(float), off.astype(float))
 
 
 def _check_ints(**values) -> None:
@@ -220,13 +201,8 @@ def solve_block(parity: str, k: int, m: int, c: float, N_max: int,
         raise failure
     kk = k + 1 if parity == "odd" else k
     h = m / 2
-    # log |p_i(0)| up to a constant, from the ratio of successive Bonnet
-    # values at t = 0 (legendre); the odd basis has |q^k_i(0)| = |p^(k+1)_i(0)|
-    i = np.arange(sizes[-1] - 1)
-    log_p0 = np.concatenate(([0.0], np.cumsum(np.log(
-        (i + kk + h) / (i + 1) * np.sqrt((4 * i + 2 * kk + m + 4) / (4 * i + 2 * kk + m))))))
     for T in sizes:
-        mat = build("even", kk, m, c, T + 1)  # its last entry is M[T-1, T]
+        mat = build(kk, m, c, T + 1)  # its last entry is M[T-1, T]
         diag, off = mat.diag[:T], mat.offdiag[:T - 1]
         # bisection down to the underflow threshold resolves each chi to a
         # few ulps of itself instead of eps * ||M||, so a certified chi does
@@ -236,8 +212,14 @@ def solve_block(parity: str, k: int, m: int, c: float, N_max: int,
         # Gershgorin: each row i >= T of M has diag_i - |off_(i-1)| - |off_i|
         # >= 4i(kk+i+h) - 4 pi^2 c^2 / (kk+2i+h-2), which grows with i
         g = 4 * T * (kk + T + h) - 4 * math.pi ** 2 * c ** 2 / (kk + 2 * T + h - 2)
+        # log |p_i(0)|, i < T, up to a constant, from the ratio of successive
+        # Bonnet values at t = 0 (legendre); the odd basis has
+        # |q^k_i(0)| = |p^(k+1)_i(0)|
+        i = np.arange(T - 1)
+        log_p0 = np.concatenate(([0.0], np.cumsum(np.log(
+            (i + kk + h) / (i + 1) * np.sqrt((4 * i + 2 * kk + m + 4) / (4 * i + 2 * kk + m))))))
         if _certified(diag, off, abs(mat.offdiag[-1]), g, chi, vecs,
-                      np.exp(log_p0[:T] - log_p0[T - 1]), tol):
+                      np.exp(log_p0 - log_p0[-1]), tol):
             chi, vecs = chi[:-1], vecs[:, :-1]
             big = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(N_max + 1)]
             block = RadialEigenpair(chi, vecs * np.sign(big))

@@ -119,6 +119,8 @@ def transform_matrix(nu: float, c: float, targets: np.ndarray,
     s = np.asarray(targets, dtype=float)
     if s.ndim != 1:
         raise ValueError(f"targets must be a 1-D array, got shape {s.shape}")
+    if not np.all(np.isfinite(s)):
+        raise ValueError("targets must be finite")
     if np.any(s <= 0):
         raise ValueError("targets must be positive (use the s -> 0 limit form)")
     r = rule.nodes
@@ -129,7 +131,7 @@ def transform_matrix(nu: float, c: float, targets: np.ndarray,
 @lru_cache(maxsize=MATRIX_CACHE_ENTRIES)
 def _cached_matrices(nu: float, c: float, grid: bytes, nodes: bytes,
                      weights: bytes) -> tuple[np.ndarray, np.ndarray]:
-    rule = QuadratureRule("unit_interval", np.frombuffer(nodes), np.frombuffer(weights))
+    rule = QuadratureRule(np.frombuffer(nodes), np.frombuffer(weights))
     G = transform_matrix(nu, c, np.frombuffer(grid), rule)
     # the n x n node-to-node matrix lives only for this product
     Q = G @ transform_matrix(nu, c, rule.nodes, rule)

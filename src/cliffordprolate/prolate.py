@@ -131,7 +131,7 @@ class CpswfOrders:
 
     chi, active, value_at_zero, mu and lam are read-only arrays of shape
     (n_max+1,) in order n.  Indexing or iterating builds the Cpswf records
-    on request; `orders + [...]` concatenates them as a list.
+    on request.
     """
 
     blocks: tuple  # (even,) or (even, odd) CpswfBlock records
@@ -161,9 +161,6 @@ class CpswfOrders:
 
     def __iter__(self):
         return (self[n] for n in range(len(self)))
-
-    def __add__(self, other) -> list:
-        return list(self) + list(other)
 
 
 def _block_cpswfs(block: RadialEigenpair, zero: np.ndarray, odd: int,

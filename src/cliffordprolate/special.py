@@ -106,11 +106,9 @@ def sphere_area(m: int) -> float:
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Nodes and positive weights on a declared domain, such as
-    'unit_interval'; nodes on a sphere have shape (P, m).
-    """
+    """Read-only quadrature nodes and positive weights; the package's rules
+    are on [0, 1] (gauss_rule_unit_interval)."""
 
-    domain: str
     nodes: np.ndarray
     weights: np.ndarray
 
@@ -127,7 +125,7 @@ def gauss_rule_unit_interval(n: int) -> QuadratureRule:
     if not 1 <= n <= MAX_NODES:
         raise ValueError(f"node count must be in [1, {MAX_NODES}], got {n}")
     x, w = np.polynomial.legendre.leggauss(n)
-    return QuadratureRule("unit_interval", (x + 1) / 2, w / 2)
+    return QuadratureRule((x + 1) / 2, w / 2)
 
 
 def chebyshev_grid(n: int) -> np.ndarray:

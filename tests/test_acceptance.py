@@ -13,13 +13,14 @@ import pytest
 from scipy.linalg import eigh_tridiagonal
 
 from cliffordprolate.accumulation import limit_value, partial_sum
-from cliffordprolate.galerkin import build, build_even, build_odd, solve_radial
+from cliffordprolate.galerkin import build, solve_radial
 from cliffordprolate.legendre import c0_eigenvalue
 from cliffordprolate.monogenics import basis
 from cliffordprolate.operators import apply_Gc, kernel_Kc, verify
 from cliffordprolate.prolate import eval_field_coeffs, make_cpswf
 
-from oracles import Mc_kernel, ball_gram, brute_Gc, brute_Kc, brute_Mc, smallc_curvature
+from oracles import (Mc_kernel, ball_gram, brute_Gc, brute_Kc, brute_Mc, build_odd, build_parity,
+                     smallc_curvature)
 
 
 def report(num, name, detail):
@@ -32,7 +33,7 @@ def test_c01_shift_identity():
         for m in (2, 3):
             for c in (0.5, 1.0, 2.0):
                 odd = build_odd(k, m, c, 64)
-                even = build_even(k + 1, m, c, 64)
+                even = build(k + 1, m, c, 64)
                 dev = max(np.max(np.abs(odd.diag - (even.diag + 4 * k + 2 * m))),
                           np.max(np.abs(odd.offdiag - even.offdiag)))
                 worst = max(worst, dev)
@@ -45,7 +46,7 @@ def test_c02_c0_spectra():
     for m in (2, 3):
         for k in range(5):
             for parity in ("even", "odd"):
-                mat = build(parity, k, m, 0.0, 16)
+                mat = build_parity(parity, k, m, 0.0, 16)
                 chis = eigh_tridiagonal(mat.diag, mat.offdiag, eigvals_only=True)
                 for N in range(7):
                     n = 2 * N if parity == "even" else 2 * N + 1

@@ -9,16 +9,21 @@ It also checks that the operator-matrix cache still builds through the
 wrapped `operators.transform_matrix`, called with four positional
 arguments, so the benchmark's transform counts stay truthful, and that
 every table `prolate.radial_values` returns unpacks as the recurrence
-counter expects.
+counter expects, and that every name the package keeps only for a span
+hook (a line marked so) is still a SITES or CACHES row: a shim goes with
+its row.
 """
 
 import importlib
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
 
-SPANS_PATH = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+SPANS_PATH = ROOT / "bench" / "spans.py"
+SHIM_MARK = "(kept for the benchmark's span hooks)"
 
 
 def _spans():
@@ -44,6 +49,34 @@ def test_span_site_resolves(module, attr):
 def test_cache_row_resolves_to_an_lru_cache(module, attr):
     cache = getattr(importlib.import_module(module), attr)
     assert callable(cache.cache_info)
+
+
+def _shims():
+    """(module, line, name) of each package line marked SHIM_MARK: an
+    import, or an alias `a = b`, kept only for a span hook.  name is None
+    if the line does not parse."""
+    shim = re.compile(r"(?:from \.\w+ import (\w+)  # noqa: F401  |(\w+) = \w+  # )"
+                      + re.escape(SHIM_MARK))
+    out = []
+    for path in sorted((ROOT / "src" / "cliffordprolate").glob("*.py")):
+        for line in path.read_text().splitlines():
+            if SHIM_MARK in line:
+                found = shim.fullmatch(line)
+                out.append((f"cliffordprolate.{path.stem}", line, found and (found[1] or found[2])))
+    return out
+
+
+@pytest.mark.parametrize("module, line, name", _shims(),
+                         ids=[f"{module}.{name}" for module, _, name in _shims()])
+def test_every_benchmark_shim_is_a_span_row(module, line, name):
+    assert name is not None, f"cannot read the shim {line!r}"
+    rows = set(_sites()) | {(module, attr) for _, module, attr in _spans().CACHES}
+    assert (module, name) in rows, f"{module}.{name} is kept for no SITES or CACHES row"
+
+
+def test_shim_finder_sees_the_alias():
+    assert ("cliffordprolate.monogenics", "basis_3d") in {(module, name)
+                                                         for module, _, name in _shims()}
 
 
 def test_cache_misses_go_through_transform_matrix(monkeypatch):

@@ -81,6 +81,32 @@ def test_field_csv_columns_m2():
         assert x1 * x1 + x2 * x2 <= 1 + 1e-12
 
 
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_field_grid_of_corners_has_no_rows(m, fmt):
+    # the 2 x 2 grid is the four corners, all outside the disc
+    res = run(*f"field --n 0 --k 0 --i 1 --m {m} --c 1 --grid 2 --format {fmt}".split())
+    assert res.exit_code == 0
+    if fmt == "json":
+        assert json.loads(res.output) == []
+    else:
+        [header] = res.output.splitlines()
+        assert len(header.split(",")) == m + 2 ** (m + 1)
+
+
+@pytest.mark.parametrize("m, grid, i", [(2, 4, 1), (3, 7, 2)])
+def test_field_rows_are_the_disc_points_in_grid_order(m, grid, i):
+    from cliffordprolate.prolate import eval_field_coeffs
+
+    ax = np.linspace(-1.0, 1.0, grid)
+    pts = np.array([(a, b) + (0.0,) * (m - 2) for a in ax for b in ax if a * a + b * b <= 1.0])
+    vals = eval_field_coeffs(make_cpswf(1, 1, m, 1.0), i, pts)
+    want = [",".join(format(float(v), ".17g") for v in (*p, *np.column_stack(
+        (row.real, row.imag)).ravel())) for p, row in zip(pts, vals)]
+    res = run(*f"field --n 1 --k 1 --i {i} --m {m} --c 1 --grid {grid}".split())
+    assert res.exit_code == 0 and res.output.splitlines()[1:] == want
+
+
 def test_field_at_m3_degree_9():
     res = run(*"field --n 0 --k 9 --m 3 --c 1 --grid 3".split())
     assert res.exit_code == 0

@@ -10,16 +10,16 @@ from scipy.linalg import eigh_tridiagonal
 from cliffordprolate.galerkin import (
     _BISECT_TOL,
     ConvergenceError,
-    build,
-    build_even,
-    build_odd,
     as_odd,
+    build,
     solve_block,
     solve_radial,
 )
 from cliffordprolate.legendre import c0_eigenvalue
 
 from oracles import (
+    build_odd,
+    build_parity,
     dense_order,
     dense_tridiag,
     galerkin_entries_mp,
@@ -30,7 +30,7 @@ from oracles import (
 
 def test_even_entries_scalar_recompute():
     k, m, c, T = 2, 3, 1.3, 12
-    mat = build_even(k, m, c, T)
+    mat = build(k, m, c, T)
     h = m / 2
     w = 4 * math.pi ** 2 * c ** 2
     for i in range(T):
@@ -46,7 +46,7 @@ def test_even_entries_scalar_recompute():
 
 def test_even_k0_m2_first_diagonal():
     # the i = 0 sub-term with vanishing denominator is defined as 0
-    mat = build_even(0, 2, 1.0, 4)
+    mat = build(0, 2, 1.0, 4)
     w = 4 * math.pi ** 2
     assert abs(mat.diag[0] - w * 0.5) < 1e-12 * w
     assert np.all(np.isfinite(mat.diag))
@@ -58,7 +58,7 @@ def test_even_k0_m2_first_diagonal():
 def test_shift_identity_exact(k, m, c):
     T = 64
     odd = build_odd(k, m, c, T)
-    even = build_even(k + 1, m, c, T)
+    even = build(k + 1, m, c, T)
     dev = max(np.max(np.abs(odd.diag - (even.diag + 4 * k + 2 * m))),
               np.max(np.abs(odd.offdiag - even.offdiag)))
     assert dev <= 1e-13
@@ -78,7 +78,7 @@ def test_direct_odd_formulas_agree(k, m, c):
 @pytest.mark.parametrize("m,k", [(2, 0), (2, 2), (3, 1), (5, 0)])
 def test_c0_spectrum_matches_closed_form(m, k):
     for parity in ("even", "odd"):
-        mat = build(parity, k, m, 0.0, 20)
+        mat = build_parity(parity, k, m, 0.0, 20)
         assert np.max(np.abs(mat.offdiag)) == 0.0
         chis = eigh_tridiagonal(mat.diag, mat.offdiag, eigvals_only=True)
         for N in range(13):
@@ -88,7 +88,7 @@ def test_c0_spectrum_matches_closed_form(m, k):
 
 
 def test_eigensolver_against_jacobi_oracle():
-    mat = build_even(1, 3, 1.5, 50)
+    mat = build(1, 3, 1.5, 50)
     lap = eigh_tridiagonal(mat.diag, mat.offdiag, eigvals_only=True)
     oracle = jacobi_eigenvalues(dense_tridiag(mat.diag, mat.offdiag))
     assert np.max(np.abs(lap - oracle) / (1 + np.abs(oracle))) < 1e-11
@@ -97,7 +97,7 @@ def test_eigensolver_against_jacobi_oracle():
 @pytest.mark.parametrize("parity", ["even", "odd"])
 def test_solve_radial_residual_and_sign(parity):
     pair = solve_radial(parity, 1, 2, 2.0, 3, 1e-12)
-    mat = build(parity, 1, 2, 2.0, pair.truncation)
+    mat = build_parity(parity, 1, 2, 2.0, pair.truncation)
     res = dense_tridiag(mat.diag, mat.offdiag) @ pair.coeffs - pair.chi * pair.coeffs
     assert np.max(np.abs(res)) < 1e-9 * max(1, abs(pair.chi))
     assert abs(np.linalg.norm(pair.coeffs) - 1) < 1e-12
@@ -112,16 +112,14 @@ def test_solve_radial_eigenvalues_increase_with_n():
 
 def test_smallc_curvature_is_diagonal_slope():
     b = smallc_curvature("even", 0, 2, 1)
-    one = build_even(0, 2, 1.0, 4)
-    zero = build_even(0, 2, 0.0, 4)
+    one = build(0, 2, 1.0, 4)
+    zero = build(0, 2, 0.0, 4)
     assert abs(b - (one.diag[1] - zero.diag[1]) / (4 * math.pi ** 2)) < 1e-14
 
 
 def test_validation_errors():
     with pytest.raises(ValueError):
-        build("sideways", 0, 2, 1.0, 8)
-    with pytest.raises(ValueError):
-        build_even(0, 2, 1.0, 1)
+        build(0, 2, 1.0, 1)
     with pytest.raises(ValueError):
         solve_radial("even", -1, 2, 1.0, 0)
     with pytest.raises(ValueError):
@@ -225,7 +223,7 @@ def _count_eigensolves(monkeypatch, alter=None):
 
 def _solved_at(parity, k, m, c, N_max, T):
     """Orders 0..N_max of the T x T matrix, solved as solve_block solves it."""
-    mat = build("even", k + (parity == "odd"), m, c, T)
+    mat = build(k + (parity == "odd"), m, c, T)
     chi, vecs = eigh_tridiagonal(mat.diag, mat.offdiag, select="i",
                                  select_range=(0, N_max + 1), tol=_BISECT_TOL)
     chi, vecs = chi[:-1], vecs[:, :-1]
@@ -333,6 +331,37 @@ def test_tail_weights_never_exceed_one(monkeypatch, m, c):
         assert reach[-1] == 1.0 and np.all(reach <= 1.0) and np.all(np.diff(reach) >= 0)
 
 
+@pytest.mark.parametrize("parity, k, m, c, N_max, tol", [
+    ("even", 30, 2, 20.0, 0, None), ("odd", 29, 2, 20.0, 0, None),
+    ("even", 50, 5, 20.0, 5, 1e-14), ("odd", 40, 3, 30.0, 2, None)])
+def test_doubled_block_weights_are_a_prefix_of_the_whole_ladder(
+        monkeypatch, parity, k, m, c, N_max, tol):
+    # the tail weights are built per truncation; they equal, bit for bit,
+    # the prefix of one table over the largest size of the ladder, so a
+    # block that has to double certifies where it did with that table
+    import cliffordprolate.galerkin as galerkin
+
+    reaches = []
+
+    def recording(*args):
+        reaches.append(args[6])
+        return certified(*args)
+
+    certified = galerkin._certified
+    monkeypatch.setattr(galerkin, "_certified", recording)
+    block = solve_block(parity, k, m, c, N_max, tol)
+    T0 = 2 * N_max + 16 + math.ceil(2 * c)
+    assert len(reaches) == 2 and block.truncation == 2 * T0
+    kk, h = k + (parity == "odd"), m / 2
+    i = np.arange(T0 * 2 ** int(math.log2(galerkin.T_CAP // T0)) - 1)
+    whole = np.concatenate(([0.0], np.cumsum(np.log(
+        (i + kk + h) / (i + 1) * np.sqrt((4 * i + 2 * kk + m + 4) / (4 * i + 2 * kk + m))))))
+    for T, reach in zip((T0, 2 * T0), reaches):
+        assert np.array_equal(reach, np.exp(whole[:T] - whole[T - 1]))
+    chi, vecs = _solved_at(parity, k, m, c, N_max, 2 * T0)
+    assert np.array_equal(block.chi, chi) and np.array_equal(block.coeffs, vecs)
+
+
 @pytest.mark.parametrize("path", ["extension", "fallback"])
 def test_eigensolve_is_scipys_bit_for_bit(monkeypatch, fresh_loader, path):
     # the same LAPACK calls as scipy.linalg.eigh_tridiagonal's select="i"
@@ -352,7 +381,7 @@ def test_eigensolve_is_scipys_bit_for_bit(monkeypatch, fresh_loader, path):
                 for N in (0, 15):
                     T0 = 2 * N + 16 + math.ceil(2 * c)
                     for T in (T0, 2 * T0):
-                        mat = build_even(k, m, c, T)
+                        mat = build(k, m, c, T)
                         kw = dict(select="i", select_range=(0, N + 1), tol=_BISECT_TOL)
                         chi, vecs = galerkin.eigh_tridiagonal(mat.diag, mat.offdiag, **kw)
                         ref_chi, ref_vecs = eigh_tridiagonal(mat.diag, mat.offdiag, **kw)
@@ -366,7 +395,7 @@ def test_eigensolve_is_scipys_bit_for_bit(monkeypatch, fresh_loader, path):
 def test_eigensolve_rejects_non_finite_or_misshapen_entries():
     import cliffordprolate.galerkin as galerkin
 
-    mat = build_even(0, 2, 1.0, 20)
+    mat = build(0, 2, 1.0, 20)
     diag = mat.diag.copy()
     diag[3] = math.nan
     with pytest.raises(ValueError, match="infs or NaNs"):
@@ -381,7 +410,7 @@ def test_lapack_info_is_an_error(monkeypatch):
 
     import cliffordprolate.galerkin as galerkin
 
-    mat = build_even(0, 2, 1.0, 20)
+    mat = build(0, 2, 1.0, 20)
     # a real info < 0: dstebz rejects an index range past the matrix
     with pytest.raises(ValueError, match="illegal value in argument 7 of LAPACK dstebz"):
         galerkin.eigh_tridiagonal(mat.diag, mat.offdiag, select="i", select_range=(0, 20))

@@ -20,6 +20,8 @@ from cliffordprolate.special import gauss_rule_unit_interval
 from oracles import (
     apply_L0_radial,
     assemble_polynomial,
+    constant,
+    coordinate,
     dirac_coupling_check,
     rodrigues_polynomial,
 )
@@ -164,10 +166,10 @@ def test_assembled_polynomial_is_operator_eigenfunction(m, k, n):
     # dirac((1-|x|^2) dirac p) = C(0,n,m,k) p at sample points
     p = assemble_polynomial(n, k, m)
     from cliffordprolate.monogenics import PolyMultivector
-    one = PolyMultivector.constant(m, 1.0)
+    one = constant(m, 1.0)
     t = PolyMultivector(m)
     for j in range(1, m + 1):
-        xj = PolyMultivector.coordinate(m, j)
+        xj = coordinate(m, j)
         t = t + xj * xj
     lp = dirac((one - t) * dirac(p))
     chi = c0_eigenvalue(n, m, k)

@@ -10,7 +10,7 @@ from cliffordprolate.monogenics import PolyMultivector, basis, dim_monogenic, di
 from cliffordprolate.prolate import eval_field_coeffs, make_cpswf
 from cliffordprolate.special import sphere_area
 
-from oracles import _sphere_clifford_inner, scalar_inner_coeffs, sphere_rule
+from oracles import _sphere_clifford_inner, constant, coordinate, scalar_inner_coeffs, sphere_rule
 
 
 @pytest.mark.parametrize("m,k,d", [(2, 0, 1), (2, 5, 1), (3, 0, 1), (3, 1, 2),
@@ -116,7 +116,7 @@ def test_dirac_product_rule_example():
     for m in (2, 3):
         x = PolyMultivector(m)
         for j in range(1, m + 1):
-            coord = PolyMultivector.coordinate(m, j)
+            coord = coordinate(m, j)
             e_j = np.zeros(2 ** m, dtype=complex)
             e_j[1 << (j - 1)] = 1.0
             x = x + coord.left_mul(e_j)
@@ -163,7 +163,6 @@ def test_evaluation_is_a_ring_homomorphism(m):
         assert _close((p - q).evaluate_coeffs(x), pv - qv)
         assert _close((p * q).evaluate_coeffs(x), mul_coeffs(m, pv, qv))
         assert _close(p.left_mul(g).evaluate_coeffs(x), mul_coeffs(m, g, pv))
-        assert _close(p.right_mul(g).evaluate_coeffs(x), mul_coeffs(m, pv, g))
         assert _close(p.scale(s).evaluate_coeffs(x), s * pv)
         assert _close(p.evaluate_coeffs(x[0]), pv[0])
 
@@ -200,7 +199,7 @@ def test_terms_round_trip_and_canonical_rows(m):
 def test_zero_polynomial(m):
     x = PolyMultivector.vector(m)
     pts = np.random.default_rng(70).uniform(-1, 1, (7, m))
-    for zero in (x - x, PolyMultivector(m), dirac(PolyMultivector.constant(m, 2.0)),
+    for zero in (x - x, PolyMultivector(m), dirac(constant(m, 2.0)),
                  x.scale(0.0), PolyMultivector(m, {(1,) * m: np.zeros(1 << m)})):
         assert zero.terms == {} and zero.exps.shape == (0, m)
         assert zero.degree() == -1 and zero.max_coeff() == 0.0 and zero.is_homogeneous()

@@ -81,6 +81,14 @@ def test_transform_matrix_rejects_nonpositive_targets():
         transform_matrix(0.0, 1.0, np.array([0.0, 0.5]), rule)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_transform_matrix_rejects_non_finite_targets(bad):
+    # NaN passes a `<= 0` test, so it needs its own check
+    rule = gauss_rule_unit_interval(16)
+    with pytest.raises(ValueError, match="targets must be finite"):
+        transform_matrix(0.5, 1.0, np.array([0.5, bad]), rule)
+
+
 @pytest.mark.parametrize("n,k", [(0, 0), (1, 0), (2, 1), (3, 2)])
 def test_apply_Gc_against_brute_field(n, k):
     psi = make_cpswf(n, k, 2, 1.0)
@@ -199,7 +207,7 @@ def test_matrix_cache_does_not_alias(monkeypatch):
                                         operators._default_rule())
     assert G.shape == Q.shape == (GRID_POINTS, 512)
     # equal nodes, different weights: T is linear in the weights
-    heavy = QuadratureRule("unit_interval", rule.nodes, 2 * rule.weights)
+    heavy = QuadratureRule(rule.nodes, 2 * rule.weights)
     grid = chebyshev_grid(GRID_POINTS)
     G1, Q1 = operators._operator_matrices(nu, psi.c, grid, rule)
     G2, Q2 = operators._operator_matrices(nu, psi.c, grid, heavy)

@@ -399,7 +399,7 @@ def test_records_equal_the_per_order_formulas():
         for c in (0.5, 4.0, 20.0):
             for k in (0, 5, 19):
                 [(_, psis, _)] = cpswf_blocks(m, c, [k], 9)
-                for psi in psis + [make_cpswf(n, k, m, c) for n in (0, 1, 6, 9)]:
+                for psi in [*psis] + [make_cpswf(n, k, m, c) for n in (0, 1, 6, 9)]:
                     got = (psi._active, psi.value_at_zero, psi.mu, psi.lam)
                     ref = order_quantities(psi.n, k, m, c, psi.pair, psi.basis_at_zero)
                     assert [type(v) for v in got] == [int, float, complex, float]
