@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial import polynomial as P
@@ -94,6 +95,20 @@ def bonnet_coeffs(N, k, m: int) -> BonnetCoeffs:
     return BonnetCoeffs(a, b, ap, bp)
 
 
+# (k, m, N_max) keys whose scalar Bonnet lists stay cached: an entry holds
+# 4 (N_max + 1) Python floats, about 130 bytes per order (0.5 MiB at
+# N_max = 4,095, the truncation cap), so at most 32 MiB for a full cache
+BONNET_CACHE_ENTRIES = 64
+
+
+@lru_cache(maxsize=BONNET_CACHE_ENTRIES)
+def _bonnet_lists(k: int, m: int, N_max: int) -> tuple:
+    """bonnet_coeffs(0..N_max, k, m) as four tuples of Python floats, which
+    the recurrence indexes faster than numpy scalars."""
+    bc = bonnet_coeffs(np.arange(N_max + 1), k, m)
+    return tuple(tuple(c.tolist()) for c in (bc.A, bc.B, bc.A_prime, bc.B_prime))
+
+
 def _bonnet_rows(k, m: int, N_max: int, one: np.ndarray, times_t):
     """Yield the rows (p_N, q_N), N = 0..N_max, of the interleaved recurrence.
 
@@ -103,9 +118,7 @@ def _bonnet_rows(k, m: int, N_max: int, one: np.ndarray, times_t):
     its first axis.
     """
     if np.ndim(k) == 0:
-        bc = bonnet_coeffs(np.arange(N_max + 1), k, m)
-        # Python floats: a list index is cheaper than a numpy scalar in the loop
-        A, B, Ap, Bp = (c.tolist() for c in (bc.A, bc.B, bc.A_prime, bc.B_prime))
+        A, B, Ap, Bp = _bonnet_lists(k, m, N_max)
         p = math.sqrt(2 * k + m) * one
     else:
         # one coefficient per degree, broadcast over the points of its row

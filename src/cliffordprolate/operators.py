@@ -158,29 +158,28 @@ def _operator_matrices(nu: float, c: float, grid: np.ndarray,
                             rule.nodes.tobytes(), rule.weights.tobytes())
 
 
-def _psi_setup(psi: Cpswf):
-    # an odd order of degree k transforms like the even family of degree
-    # k + 1 (see Cpswf.mu), so all three follow kappa = k + (n mod 2)
-    kappa = psi.k + psi.n % 2
-    nu, phase, weight = kappa + psi.m / 2 - 1, 1j ** kappa, 2 * kappa + psi.m - 1
-
-    def f(r):
-        return psi.radial_poly_values(np.asarray(r) ** 2)
-
-    return nu, phase, weight, f
-
-
-def _profiles(psi: Cpswf, grid: np.ndarray,
-              rule: QuadratureRule | None) -> tuple[RadialSamples, RadialSamples]:
-    """G_c psi and QP_c psi on a checked grid, from one evaluation of
-    psi's radial factor at the rule nodes."""
+def _matrices(psi: Cpswf, grid: np.ndarray, rule: QuadratureRule | None):
+    """(G, Q, rule) of psi on a checked grid, with the default rule for None:
+    an odd order of degree k transforms like the even family of degree
+    k + 1 (see Cpswf.mu), so nu follows kappa = k + (n mod 2)."""
     rule = _default_rule() if rule is None else rule
-    nu, phase, weight, f = _psi_setup(psi)
-    G, Q = _operator_matrices(nu, psi.c, grid, rule)
-    at_nodes = f(rule.nodes)
-    scale = phase * 2 * math.pi * psi.c ** (1 - psi.m / 2)
-    return (RadialSamples(grid, scale * (G @ at_nodes), weight),
-            RadialSamples(grid, 4 * math.pi ** 2 * psi.c ** 2 * (Q @ at_nodes), weight))
+    nu = psi.k + psi.n % 2 + psi.m / 2 - 1
+    return (*_operator_matrices(nu, psi.c, grid, rule), rule)
+
+
+def _gc_samples(psi: Cpswf, grid: np.ndarray, G: np.ndarray,
+                at_nodes: np.ndarray) -> RadialSamples:
+    """G_c psi on the grid from psi's radial factor at the rule nodes."""
+    kappa = psi.k + psi.n % 2
+    scale = 1j ** kappa * 2 * math.pi * psi.c ** (1 - psi.m / 2)
+    return RadialSamples(grid, scale * (G @ at_nodes), 2 * kappa + psi.m - 1)
+
+
+def _qp_samples(psi: Cpswf, grid: np.ndarray, Q: np.ndarray,
+                at_nodes: np.ndarray) -> RadialSamples:
+    """QP_c psi on the grid from psi's radial factor at the rule nodes."""
+    return RadialSamples(grid, 4 * math.pi ** 2 * psi.c ** 2 * (Q @ at_nodes),
+                         2 * (psi.k + psi.n % 2) + psi.m - 1)
 
 
 def apply_Gc(psi: Cpswf, grid: np.ndarray | None = None,
@@ -190,13 +189,17 @@ def apply_Gc(psi: Cpswf, grid: np.ndarray | None = None,
     The full field is values(r) times the solid Y_k^i (even) or x Y_k^i
     (odd), matching the convention of psi.radial_poly_values.
     """
-    return _profiles(psi, _check_grid(grid), rule)[0]
+    grid = _check_grid(grid)
+    G, _, rule = _matrices(psi, grid, rule)
+    return _gc_samples(psi, grid, G, psi.radial_poly_values(rule.nodes ** 2))
 
 
 def apply_QPc(psi: Cpswf, grid: np.ndarray | None = None,
               rule: QuadratureRule | None = None) -> RadialSamples:
     """Radial profile of QP_c psi = c^m G_c* G_c psi on the grid."""
-    return _profiles(psi, _check_grid(grid), rule)[1]
+    grid = _check_grid(grid)
+    _, Q, rule = _matrices(psi, grid, rule)
+    return _qp_samples(psi, grid, Q, psi.radial_poly_values(rule.nodes ** 2))
 
 
 def verify(psi: Cpswf, grid: np.ndarray | None = None,
@@ -212,9 +215,13 @@ def verify(psi: Cpswf, grid: np.ndarray | None = None,
     check).
     """
     grid = _check_grid(grid)
-    own = psi.radial_poly_values(grid ** 2)
+    G, Q, rule = _matrices(psi, grid, rule)
+    # one recurrence over both point sets; it runs elementwise, so each half
+    # equals its own evaluation to the bit
+    own, at_nodes = np.split(psi.radial_poly_values(np.concatenate((grid, rule.nodes)) ** 2),
+                             [grid.size])
     size = np.max(np.abs(own))
-    g, q = _profiles(psi, grid, rule)
+    g, q = _gc_samples(psi, grid, G, at_nodes), _qp_samples(psi, grid, Q, at_nodes)
     mu_est = complex(np.dot(own, g.values) / np.dot(own, own))
     ratios = g.values / own
     ratio_spread = float(np.max(np.abs(ratios - mu_est)) / abs(mu_est))

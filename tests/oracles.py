@@ -26,7 +26,13 @@ from cliffordprolate.algebra import conj_coeffs, embed_coeffs, mul_coeffs
 from cliffordprolate.galerkin import SymTridiag, build
 from cliffordprolate.legendre import RadialPoly, radial_sequence
 from cliffordprolate.monogenics import PolyMultivector, basis, dirac
-from cliffordprolate.operators import _default_rule, _psi_setup, transform_matrix
+from cliffordprolate.operators import (
+    VerificationReport,
+    _check_grid,
+    _default_rule,
+    _operator_matrices,
+    transform_matrix,
+)
 from cliffordprolate.prolate import Cpswf, eval_field_coeffs
 from cliffordprolate.special import QuadratureRule, gamma_fn, gauss_rule_unit_interval
 
@@ -537,9 +543,10 @@ def dual_orthogonality_check(entries, radial_rule: QuadratureRule | None = None,
     radial_rule = _default_rule() if radial_rule is None else radial_rule
     qp_profiles = []
     for psi, _ in entries:
-        nu, _, _, f = _psi_setup(psi)
+        nu = psi.k + psi.n % 2 + psi.m / 2 - 1
         tm = transform_matrix(nu, psi.c, radial_rule.nodes, radial_rule)
-        qp_profiles.append(4 * math.pi ** 2 * psi.c ** 2 * (tm @ (tm @ f(radial_rule.nodes))))
+        f = psi.radial_poly_values(radial_rule.nodes ** 2)
+        qp_profiles.append(4 * math.pi ** 2 * psi.c ** 2 * (tm @ (tm @ f)))
     lam = np.array([psi.lam for psi, _ in entries])
     scale = 1.0 / np.sqrt(np.outer(lam, lam))
     own = [psi.radial_poly_values(radial_rule.nodes ** 2) for psi, _ in entries]
@@ -554,3 +561,34 @@ def dual_orthogonality_check(entries, radial_rule: QuadratureRule | None = None,
             gram_rm[p, q] = g[0, 1]
     gram_ball = ball_gram(entries, radial_rule, sphere_order, profiles=qp_profiles)
     return scale * gram_rm, scale * gram_ball
+
+
+def profiles_together(psi: Cpswf, grid=None, rule: QuadratureRule | None = None):
+    """The G_c and QP_c profiles of psi on the grid as operators formed them
+    before apply_Gc and apply_QPc were split: both products at once, from
+    one evaluation of psi's radial factor at the rule nodes."""
+    grid = _check_grid(grid)
+    rule = _default_rule() if rule is None else rule
+    kappa = psi.k + psi.n % 2
+    nu, phase = kappa + psi.m / 2 - 1, 1j ** kappa
+    G, Q = _operator_matrices(nu, psi.c, grid, rule)
+    at_nodes = psi.radial_poly_values(np.asarray(rule.nodes) ** 2)
+    scale = phase * 2 * math.pi * psi.c ** (1 - psi.m / 2)
+    return scale * (G @ at_nodes), 4 * math.pi ** 2 * psi.c ** 2 * (Q @ at_nodes)
+
+
+def verify_two_recurrences(psi: Cpswf, grid=None,
+                           rule: QuadratureRule | None = None) -> VerificationReport:
+    """operators.verify with psi's radial factor evaluated by two
+    recurrences, one on the grid and one at the rule nodes: the reference
+    that the one-recurrence verify must equal to the bit."""
+    grid = _check_grid(grid)
+    own = psi.radial_poly_values(grid ** 2)
+    size = np.max(np.abs(own))
+    g, q = profiles_together(psi, grid, rule)
+    mu_est = complex(np.dot(own, g) / np.dot(own, own))
+    ratio_spread = float(np.max(np.abs(g / own - mu_est)) / abs(mu_est))
+    gc_residual = float(np.max(np.abs(g - mu_est * own)) / (abs(mu_est) * size))
+    lambda_est = float(np.real(np.dot(own, q) / np.dot(own, own)))
+    residual = float(np.max(np.abs(q - psi.lam * own)) / size)
+    return VerificationReport(mu_est, lambda_est, ratio_spread, residual, gc_residual)

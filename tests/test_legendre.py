@@ -135,6 +135,20 @@ def test_bonnet_coeffs_take_an_array():
             cf.A[N], cf.B[N], cf.A_prime[N], cf.B_prime[N])
 
 
+def test_recurrence_reads_bonnet_lists_from_a_cache():
+    from cliffordprolate.legendre import _bonnet_lists
+
+    _bonnet_lists.cache_clear()
+    ref = bonnet_coeffs(np.arange(9), 2, 3)
+    lists = _bonnet_lists(2, 3, 8)
+    assert lists == tuple(tuple(c.tolist()) for c in (ref.A, ref.B, ref.A_prime, ref.B_prime))
+    assert all(isinstance(c, tuple) for c in lists)  # shared, so immutable
+    before = _bonnet_lists.cache_info().hits
+    radial_values(2, 3, 8, np.linspace(0, 1, 5))
+    radial_series(2, 3, "odd", np.ones(9), np.linspace(0, 1, 5))
+    assert _bonnet_lists.cache_info().hits == before + 2
+
+
 def test_bonnet_first_step():
     # B_0 vanishes: q_0 is proportional to p_0
     for m, k in [(2, 0), (3, 1)]:

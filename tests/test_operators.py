@@ -31,6 +31,8 @@ from oracles import (
     brute_Mc,
     brute_hankel,
     dual_orthogonality_check,
+    profiles_together,
+    verify_two_recurrences,
 )
 
 
@@ -157,6 +159,56 @@ def test_verify_gc_residual_is_the_norm_relative_deviation():
     want = np.max(np.abs(g - rep.mu_est * own)) / (abs(rep.mu_est) * np.max(np.abs(own)))
     assert rep.gc_residual == want
     assert rep.gc_residual < 1e-12
+
+
+def _reference_cases():
+    grid, rule = np.linspace(0.05, 0.95, 17), gauss_rule_unit_interval(160)
+    for m, c in [(2, 1.0), (3, 20.0)]:
+        for _, psis, _ in cpswf_blocks(m, c, range(3), 4):
+            for psi in psis:
+                yield psi, None, None
+        yield psi, grid, rule
+
+
+def test_verify_equals_the_two_recurrence_reference():
+    # one recurrence on the grid and the nodes together, split after: the
+    # recurrence is elementwise, so the report is the same to the bit
+    for psi, grid, rule in _reference_cases():
+        assert verify(psi, grid, rule) == verify_two_recurrences(psi, grid, rule)
+
+
+def test_verify_runs_one_radial_recurrence(monkeypatch):
+    from cliffordprolate import prolate
+
+    calls = []
+    series = prolate.radial_series
+    monkeypatch.setattr(prolate, "radial_series", lambda *a: calls.append(a[4].shape) or series(*a))
+    verify(make_cpswf(3, 1, 3, 1.0))
+    assert calls == [(GRID_POINTS + 256,)]
+
+
+class _Untouchable:
+    """An operator matrix that must not be used."""
+
+    def __matmul__(self, other):
+        raise AssertionError("formed the other operator's profile")
+
+
+def test_apply_Gc_and_apply_QPc_form_only_their_own_profile(monkeypatch):
+    cases = list(_reference_cases())
+    want = [profiles_together(psi, grid, rule) for psi, grid, rule in cases]
+    matrices = operators._operator_matrices
+    for j, apply in enumerate((apply_Gc, apply_QPc)):
+        def one_of(*args, j=j):
+            pair = list(matrices(*args))
+            pair[1 - j] = _Untouchable()
+            return tuple(pair)
+
+        monkeypatch.setattr(operators, "_operator_matrices", one_of)
+        for (psi, grid, rule), ref in zip(cases, want):
+            got = apply(psi, grid, rule)
+            assert got.values.tobytes() == ref[j].tobytes()
+            assert got.weight_exponent == 2 * (psi.k + psi.n % 2) + psi.m - 1
 
 
 def test_cached_matrices_match_fresh_transforms():
