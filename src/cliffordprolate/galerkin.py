@@ -145,25 +145,6 @@ def _check_ints(**values) -> None:
                 raise ValueError(f"{name} must be an integer, got {x!r}")
 
 
-def _check_block(parity: str, k: int, m: int, c: float, N_max: int,
-                 tol: float | None) -> float:
-    """solve_block's input checks, in its order and with its messages;
-    returns tol, or CPSWF_TOL when tol is None."""
-    _check_ints(k=k, m=m, N=N_max)
-    if not math.isfinite(c):
-        raise ValueError(f"c must be finite, got {c}")
-    if N_max < 0 or k < 0 or c < 0:
-        raise ValueError("require N >= 0, k >= 0, c >= 0")
-    if m < 2:
-        raise ValueError(f"m must be >= 2, got {m}")
-    if parity not in ("even", "odd"):
-        raise ValueError("parity must be 'even' or 'odd'")
-    tol = default_tol() if tol is None else tol
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be positive and finite, got {tol}")
-    return tol
-
-
 def solve_block(parity: str, k: int, m: int, c: float, N_max: int,
                 tol: float | None = None) -> RadialEigenpair:
     """Certified eigenpairs of orders N = 0..N_max from one truncated matrix.
@@ -199,16 +180,18 @@ def solve_block(parity: str, k: int, m: int, c: float, N_max: int,
     shifted by 4k + 2m (see as_odd).  Raises ConvergenceError when the
     truncation would pass the cap, before any eigensolve if T0 does.
     """
-    tol = _check_block(parity, k, m, c, N_max, tol)
-    block = _even_solve(parity, k, m, c, N_max, tol)
-    return as_odd(block, k, m) if parity == "odd" else block
-
-
-def _even_solve(parity: str, k: int, m: int, c: float, N_max: int,
-                tol: float) -> RadialEigenpair:
-    """solve_block for checked inputs and a resolved tol, before the shift
-    of an odd block: the even block of degree k (even) or k + 1 (odd).  A
-    ConvergenceError names the block asked for."""
+    _check_ints(k=k, m=m, N=N_max)
+    if not math.isfinite(c):
+        raise ValueError(f"c must be finite, got {c}")
+    if N_max < 0 or k < 0 or c < 0:
+        raise ValueError("require N >= 0, k >= 0, c >= 0")
+    if m < 2:
+        raise ValueError(f"m must be >= 2, got {m}")
+    if parity not in ("even", "odd"):
+        raise ValueError("parity must be 'even' or 'odd'")
+    tol = default_tol() if tol is None else tol
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     sizes = [2 * N_max + 16 + math.ceil(2 * c)]
     while 2 * sizes[-1] <= T_CAP:
         sizes.append(2 * sizes[-1])
@@ -239,7 +222,8 @@ def _even_solve(parity: str, k: int, m: int, c: float, N_max: int,
                       np.exp(log_p0 - log_p0[-1]), tol):
             chi, vecs = chi[:-1], vecs[:, :-1]
             big = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(N_max + 1)]
-            return RadialEigenpair(chi, vecs * np.sign(big))
+            block = RadialEigenpair(chi, vecs * np.sign(big))
+            return as_odd(block, k, m) if parity == "odd" else block
     raise failure
 
 

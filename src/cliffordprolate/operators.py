@@ -158,28 +158,30 @@ def _operator_matrices(nu: float, c: float, grid: np.ndarray,
                             rule.nodes.tobytes(), rule.weights.tobytes())
 
 
+def _psi_setup(psi: Cpswf) -> tuple[int, float, int]:
+    """(kappa, nu, weight exponent) of psi: an odd order of degree k
+    transforms like the even family of degree k + 1 (see Cpswf.mu), so all
+    three follow kappa = k + (n mod 2)."""
+    kappa = psi.k + psi.n % 2
+    return kappa, kappa + psi.m / 2 - 1, 2 * kappa + psi.m - 1
+
+
 def _matrices(psi: Cpswf, grid: np.ndarray, rule: QuadratureRule | None):
-    """(G, Q, rule) of psi on a checked grid, with the default rule for None:
-    an odd order of degree k transforms like the even family of degree
-    k + 1 (see Cpswf.mu), so nu follows kappa = k + (n mod 2)."""
+    """(G, Q, rule) of psi on a checked grid, with the default rule for None."""
     rule = _default_rule() if rule is None else rule
-    nu = psi.k + psi.n % 2 + psi.m / 2 - 1
+    _, nu, _ = _psi_setup(psi)
     return (*_operator_matrices(nu, psi.c, grid, rule), rule)
 
 
-def _gc_samples(psi: Cpswf, grid: np.ndarray, G: np.ndarray,
-                at_nodes: np.ndarray) -> RadialSamples:
-    """G_c psi on the grid from psi's radial factor at the rule nodes."""
-    kappa = psi.k + psi.n % 2
-    scale = 1j ** kappa * 2 * math.pi * psi.c ** (1 - psi.m / 2)
-    return RadialSamples(grid, scale * (G @ at_nodes), 2 * kappa + psi.m - 1)
+def _gc_values(psi: Cpswf, G: np.ndarray, at_nodes: np.ndarray) -> np.ndarray:
+    """G_c psi on the grid of G from psi's radial factor at the rule nodes."""
+    kappa, _, _ = _psi_setup(psi)
+    return 1j ** kappa * 2 * math.pi * psi.c ** (1 - psi.m / 2) * (G @ at_nodes)
 
 
-def _qp_samples(psi: Cpswf, grid: np.ndarray, Q: np.ndarray,
-                at_nodes: np.ndarray) -> RadialSamples:
-    """QP_c psi on the grid from psi's radial factor at the rule nodes."""
-    return RadialSamples(grid, 4 * math.pi ** 2 * psi.c ** 2 * (Q @ at_nodes),
-                         2 * (psi.k + psi.n % 2) + psi.m - 1)
+def _qp_values(psi: Cpswf, Q: np.ndarray, at_nodes: np.ndarray) -> np.ndarray:
+    """QP_c psi on the grid of Q from psi's radial factor at the rule nodes."""
+    return 4 * math.pi ** 2 * psi.c ** 2 * (Q @ at_nodes)
 
 
 def apply_Gc(psi: Cpswf, grid: np.ndarray | None = None,
@@ -191,7 +193,8 @@ def apply_Gc(psi: Cpswf, grid: np.ndarray | None = None,
     """
     grid = _check_grid(grid)
     G, _, rule = _matrices(psi, grid, rule)
-    return _gc_samples(psi, grid, G, psi.radial_poly_values(rule.nodes ** 2))
+    values = _gc_values(psi, G, psi.radial_poly_values(rule.nodes ** 2))
+    return RadialSamples(grid, values, _psi_setup(psi)[2])
 
 
 def apply_QPc(psi: Cpswf, grid: np.ndarray | None = None,
@@ -199,7 +202,8 @@ def apply_QPc(psi: Cpswf, grid: np.ndarray | None = None,
     """Radial profile of QP_c psi = c^m G_c* G_c psi on the grid."""
     grid = _check_grid(grid)
     _, Q, rule = _matrices(psi, grid, rule)
-    return _qp_samples(psi, grid, Q, psi.radial_poly_values(rule.nodes ** 2))
+    values = _qp_values(psi, Q, psi.radial_poly_values(rule.nodes ** 2))
+    return RadialSamples(grid, values, _psi_setup(psi)[2])
 
 
 def verify(psi: Cpswf, grid: np.ndarray | None = None,
@@ -221,11 +225,11 @@ def verify(psi: Cpswf, grid: np.ndarray | None = None,
     own, at_nodes = np.split(psi.radial_poly_values(np.concatenate((grid, rule.nodes)) ** 2),
                              [grid.size])
     size = np.max(np.abs(own))
-    g, q = _gc_samples(psi, grid, G, at_nodes), _qp_samples(psi, grid, Q, at_nodes)
-    mu_est = complex(np.dot(own, g.values) / np.dot(own, own))
-    ratios = g.values / own
+    g, q = _gc_values(psi, G, at_nodes), _qp_values(psi, Q, at_nodes)
+    mu_est = complex(np.dot(own, g) / np.dot(own, own))
+    ratios = g / own
     ratio_spread = float(np.max(np.abs(ratios - mu_est)) / abs(mu_est))
-    gc_residual = float(np.max(np.abs(g.values - mu_est * own)) / (abs(mu_est) * size))
-    lambda_est = float(np.real(np.dot(own, q.values) / np.dot(own, own)))
-    residual = float(np.max(np.abs(q.values - psi.lam * own)) / size)
+    gc_residual = float(np.max(np.abs(g - mu_est * own)) / (abs(mu_est) * size))
+    lambda_est = float(np.real(np.dot(own, q) / np.dot(own, own)))
+    residual = float(np.max(np.abs(q - psi.lam * own)) / size)
     return VerificationReport(mu_est, lambda_est, ratio_spread, residual, gc_residual)

@@ -19,35 +19,18 @@ recurrence per group of degrees; a Cpswf is built only on request, as one
 column of a record, and make_cpswf is the last column of its block's.
 eval_field_coeffs evaluates every basis index of a record at one point set
 from one table of the radial factor times the monomials (_field_table).
-
-Every solve of cpswf_blocks and make_cpswf goes through one store of
-certified even blocks, keyed (k, m, c, N_max, tol), with tol resolved from
-CPSWF_TOL; an odd block is as_odd of the stored even block of degree
-k + 1.  make_cpswf reads its whole record (block, radial basis at t = 0 and
-columns) from a second store, keyed (odd, k, m, c, N, tol).  Keys are
-exact and checked first: a bad input raises as it would on an empty store,
-k, m and N are keyed as ints and c as a float (c = 1 and 1.0 share an
-entry), and no entry stands in for another key (a larger N_max would move
-chi, mu and lambda by about 1e-15), so every answer is the same bits
-whatever ran before.  Each store
-holds at most STORE_BYTES (32 MiB), its least recently used entry going
-first, so the two together keep at most 64 MiB alive; a block over the
-bound is returned but not stored, a failed solve stores nothing, and every
-stored array is read-only.
 """
 
 from __future__ import annotations
 
 import math
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .algebra import Multivector
 from .algebra import mul_coeffs  # noqa: F401  (kept for the benchmark's span hooks)
-from .galerkin import RadialEigenpair, _check_block, _check_ints, _even_solve, as_odd
+from .galerkin import RadialEigenpair, _check_ints, as_odd, solve_block
 from .galerkin import solve_radial  # noqa: F401  (kept for the benchmark's span hooks)
 from .legendre import radial_series, radial_values
 from .monogenics import basis  # noqa: F401  (kept for the benchmark's span hooks)
@@ -228,112 +211,12 @@ def _check_order(n: int, ks: list, c: float) -> None:
         raise ValueError("require c > 0 (the c = 0 spectrum is pure Legendre)")
 
 
-# bytes each of the two stores below may hold; see _Store
-STORE_BYTES = 32 << 20
-
-
-class _Store:
-    """A map from content keys to read-only results, bounded by the bytes
-    it holds and evicting the least recently used entry first.
-
-    An entry is charged its arrays' bytes (shared arrays once per entry
-    that holds them) plus _ENTRY_BYTES for its Python objects, so the bytes
-    charged bound the memory the store keeps alive.  A result whose charge
-    passes the bound is returned but not stored.  Dict operations run under
-    a lock and make() outside it, so two threads may both make a missing
-    entry; the first one stored is kept, and both are the same bits.  An
-    exception from make() passes through and stores nothing.
-    """
-
-    def __init__(self, limit: int):
-        self.limit = limit
-        self.nbytes = 0
-        self._entries = OrderedDict()  # key -> (value, charge), oldest first
-        self._lock = threading.Lock()
-
-    def get(self, key: tuple, make):
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
-                self._entries.move_to_end(key)
-                return entry[0]
-        value = make()
-        charge = _charge(value)
-        if charge > self.limit:
-            return value
-        with self._lock:
-            if key not in self._entries:
-                self._entries[key] = (value, charge)
-                self.nbytes += charge
-                while self.nbytes > self.limit:
-                    _, (_, dropped) = self._entries.popitem(last=False)
-                    self.nbytes -= dropped
-            self._entries.move_to_end(key)
-            return self._entries[key][0]
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self.nbytes = 0
-
-
-# an upper bound on the Python objects of one entry: its key, its dict node,
-# the record or block and its array headers (tracemalloc measured about
-# 0.75 KiB an entry, for blocks and records alike)
-_ENTRY_BYTES = 1024
-
-
-def _charge(value) -> int:
-    """The bytes a store charges for a block or a record (see _Store)."""
-    if isinstance(value, CpswfBlock):
-        arrays = (value.block.chi, value.block.coeffs, value.basis_at_zero, value.active,
-                  value.value_at_zero, value.mu, value.lam)
-    else:
-        arrays = (value.chi, value.coeffs)
-    return _ENTRY_BYTES + sum(a.nbytes for a in arrays)
-
-
-# certified even blocks, keyed (k, m, c, N_max, tol), and make_cpswf's
-# records, keyed (odd, k, m, c, N, tol); tol is resolved from CPSWF_TOL
-_blocks = _Store(STORE_BYTES)
-_records = _Store(STORE_BYTES)
-
-
-def _even_block(parity: str, k: int, m: int, c: float, N_max: int,
-                tol: float) -> RadialEigenpair:
-    """The even block behind solve_block(parity, k, m, c, N_max, tol), of
-    degree k (even) or k + 1 (odd), for checked inputs and a resolved tol,
-    served from the block store; a failure names the block asked for."""
-    kk = k + 1 if parity == "odd" else k
-    return _blocks.get((kk, m, c, N_max, tol), lambda: _even_solve(parity, k, m, c, N_max, tol))
-
-
-def _record(odd: int, k: int, m: int, c: float, N: int, tol: float) -> CpswfBlock:
-    """The record of orders 2N' + odd, N' = 0..N, of degree k, for checked
-    inputs and a resolved tol, served from the record store."""
-    def make():
-        block = _even_block(("even", "odd")[odd], k, m, c, N, tol)
-        block = as_odd(block, k, m) if odd else block
-        table = radial_values(k, m, block.truncation - 1, np.zeros(1))[odd]
-        return _block_cpswfs(block, table[:, 0], odd, k, m, c)
-
-    return _records.get((odd, k, m, c, N, tol), make)
-
-
-def _checked(k, m, c, N_max, tol) -> tuple:
-    """(k, m, c, N_max, tol) as a store key: solve_block's checks first,
-    so that a bad input raises its own error, then ints, a float c and the
-    resolved tol, so that 1 and 1.0 share an entry."""
-    tol = _check_block("even", k, m, c, N_max, tol)
-    return int(k), int(m), float(c), int(N_max), tol
-
-
 def make_cpswf(n: int, k: int, m: int, c: float, tol: float | None = None) -> Cpswf:
-    """The order-n CPSWF: the last column of its one-parity block's record,
-    from the record store (see the module docstring)."""
+    """The order-n CPSWF: the last column of its one-parity block's record."""
     _check_order(n, [k], c)
-    k, m, c, N, tol = _checked(k, m, c, n // 2, tol)
-    return _record(n % 2, k, m, c, N, tol)[-1]
+    block = solve_block("even" if n % 2 == 0 else "odd", k, m, c, n // 2, tol)
+    table = radial_values(k, m, block.truncation - 1, np.zeros(1))[n % 2]
+    return _block_cpswfs(block, table[:, 0], n % 2, k, m, float(c))[-1]
 
 
 # degrees per Bonnet recurrence in cpswf_blocks.  A group's tables hold
@@ -352,8 +235,7 @@ def cpswf_blocks(m: int, c: float, ks, n_max: int, tol: float | None = None, t=(
     Each degree takes one even block solve of orders 0..n_max//2 (see
     galerkin.solve_block); its odd block is the even block of degree k + 1
     (galerkin.as_odd), which the next degree of ks reuses, so degrees 0..K
-    take K + 2 solves, and none for a block already in the block store (see
-    the module docstring).  Consecutive degrees of ks are solved in groups of
+    take K + 2 solves.  Consecutive degrees of ks are solved in groups of
     up to 8, and one radial_values table per group, with t = 0 in its first
     column, gives every order its mu and lambda and, by one product per
     block, its values; these equal make_cpswf's whenever the solves do.
@@ -363,23 +245,22 @@ def cpswf_blocks(m: int, c: float, ks, n_max: int, tol: float | None = None, t=(
     t = np.asarray(t, dtype=float)
     _check_t(t)
     points = np.concatenate(([0.0], t.ravel()))
-    ahead = None  # (k + 1, its even block): a block over the store's bound is not stored
+    ahead = None  # (k + 1, its even block), for the next degree to reuse
     for start in range(0, len(ks), _GROUP):
         group = ks[start:start + _GROUP]
         solved = []
         for k in group:
-            k, m, c, N, tol = _checked(k, m, c, n_max // 2, tol)
             blocks = [ahead[1] if ahead and ahead[0] == k
-                      else _even_block("even", k, m, c, N, tol)]
+                      else solve_block("even", k, m, c, n_max // 2, tol)]
             if n_max > 0:
-                ahead = (k + 1, _even_block("even", k + 1, m, c, N, tol))
+                ahead = (k + 1, solve_block("even", k + 1, m, c, n_max // 2, tol))
                 blocks.append(as_odd(ahead[1], k, m))
             solved.append(blocks)
         rows = max(b.truncation for blocks in solved for b in blocks)
         tables = radial_values(np.array(group), m, rows - 1, points)
         for g, (k, blocks) in enumerate(zip(group, solved)):
             yield k, *_degree_orders(blocks, [table[:, g] for table in tables],
-                                     k, m, c, n_max, t.shape)
+                                     k, m, float(c), n_max, t.shape)
         del tables  # two groups' tables alive at once raised the peak memory by half
 
 

@@ -2,17 +2,7 @@
 
 import pytest
 
-from cliffordprolate import prolate
 from cliffordprolate.special import scipy_extension
-
-
-@pytest.fixture(autouse=True)
-def empty_stores():
-    """Empty prolate's block and record stores before each test, so that a
-    test that patches the solver or the recurrence reaches it whatever ran
-    before."""
-    prolate._blocks.clear()
-    prolate._records.clear()
 
 
 @pytest.fixture

@@ -31,6 +31,7 @@ from cliffordprolate.operators import (
     _check_grid,
     _default_rule,
     _operator_matrices,
+    _psi_setup,
     transform_matrix,
 )
 from cliffordprolate.prolate import Cpswf, eval_field_coeffs
@@ -543,7 +544,7 @@ def dual_orthogonality_check(entries, radial_rule: QuadratureRule | None = None,
     radial_rule = _default_rule() if radial_rule is None else radial_rule
     qp_profiles = []
     for psi, _ in entries:
-        nu = psi.k + psi.n % 2 + psi.m / 2 - 1
+        _, nu, _ = _psi_setup(psi)
         tm = transform_matrix(nu, psi.c, radial_rule.nodes, radial_rule)
         f = psi.radial_poly_values(radial_rule.nodes ** 2)
         qp_profiles.append(4 * math.pi ** 2 * psi.c ** 2 * (tm @ (tm @ f)))

@@ -236,19 +236,6 @@ def test_invalid_arguments_exit_2(tmp_path, case):
     assert not missing.parent.exists()
 
 
-def test_invalid_arguments_exit_2_alike_after_a_warm_store(tmp_path):
-    # a store filled by earlier commands in one process serves no bad input
-    cold = {}
-    for case, (env, args) in BAD_INPUTS.items():
-        res = CliRunner().invoke(main, args.format(missing=tmp_path / "m" / "o.csv").split(), env=env)
-        cold[case] = (res.exit_code, res.stdout, res.stderr)
-    for args in SOLVING:
-        assert run(*args.split()).exit_code == 0
-    for case, (env, args) in BAD_INPUTS.items():
-        res = CliRunner().invoke(main, args.format(missing=tmp_path / "m" / "o.csv").split(), env=env)
-        assert (res.exit_code, res.stdout, res.stderr) == cold[case], case
-
-
 def test_nodes_floor_is_accepted():
     res = CliRunner().invoke(main, "verify --m 2 --c 1 --k 0 --nmax 0".split(),
                              env={"CPSWF_NODES": "128"})
