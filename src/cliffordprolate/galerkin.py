@@ -127,14 +127,14 @@ def build(k: int, m: int, c: float, T: int) -> SymTridiag:
     h = np.longdouble(m) / 2
     w = 4 * np.longdouble(math.pi) ** 2 * np.longdouble(c) ** 2
     i = np.arange(T, dtype=np.longdouble)
-    diag = 4 * i * (k + i + h)
-    bracket = (k + i + h) ** 2 / (k + 2 * i + h + 1)
+    a, b = k + i + h, k + 2 * i + h
+    diag = 4 * i * a
+    bracket = a ** 2 / (b + 1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        sub = np.where(i > 0, i ** 2 / (k + 2 * i + h - 1), np.longdouble(0))
-    diag = diag + w / (k + 2 * i + h) * (bracket + sub)
-    j = i[:-1]
-    off = -w * (j + 1) * (k + j + h) / (
-        (k + 2 * j + h + 1) * np.sqrt((k + 2 * j + h + 2) * (k + 2 * j + h)))
+        sub = np.where(i > 0, i ** 2 / (b - 1), np.longdouble(0))
+    diag = diag + w / b * (bracket + sub)
+    j, a, b = i[:-1], a[:-1], b[:-1]
+    off = -w * (j + 1) * a / ((b + 1) * np.sqrt((b + 2) * b))
     return SymTridiag(diag.astype(float), off.astype(float))
 
 
@@ -145,12 +145,73 @@ def _check_ints(**values) -> None:
                 raise ValueError(f"{name} must be an integer, got {x!r}")
 
 
+_LOG_EPS = -math.log(np.finfo(float).eps)
+
+
+def _first_truncation(k: int, m: int, c: float, N_max: int) -> tuple[int, SymTridiag | None,
+                                                                      np.ndarray | None]:
+    """solve_block's first truncation T0 for the even block (k, m, c) of
+    orders 0..N_max, with the matrix and the _log_p0 table it is read from,
+    both past T0 so that the first eigensolve reuses them;
+    (2 T_CAP + 1, None, None) when T0 is past the cap.
+
+    T0 estimates, from the matrix, the smallest T at which _certified
+    passes at tol = eps, with a fitted margin that keeps it from falling
+    below.  chi, the eigenvalue of order N_max, is estimated as its c = 0
+    value 4N(N+k+h) plus the oscillator value 2 pi c (4N + 2k + m) of large
+    c, which levels off at w = 4 pi^2 c^2 once k outgrows c.  T0 is the
+    larger of two sizes:
+
+    - Decay: past the turning point d_i = chi, M v = chi v makes the
+      coefficients fall by e^(-kappa_i) a row, cosh kappa_i = (d_i - chi) /
+      (|e_(i-1)| + |e_i|) for diagonal d and off-diagonal e.  _certified
+      weighs them by p_i(0), so the weighted tail reaches eps of its peak
+      where sum kappa_i - log p_i(0) has risen by log(1/eps) from its
+      minimum; T is 2 rows past that row.
+    - Sturm count: against the off-diagonal w/4 of large i, the last pivot
+      test of _certified holds once 4T(T+k+h) >= w/8 + chi; T is 5 rows past
+      that.
+
+    The 2 and 5 rows are fitted on m in {2, 3, 5}, c from 0.5 to 2,000,
+    N_max in {0, 5, 15, 30} and k in {0, 20, 60}, with k = 100 at
+    N_max <= 5: every block there that certifies at some T certifies at T0,
+    and T0 is within 15% + 2 rows of the smallest such T.
+    """
+    h = m / 2
+    w = (2 * math.pi * c) * (2 * math.pi * c)  # inf, not OverflowError, at huge c
+    osc = 2 * math.pi * c * (4 * N_max + 2 * k + m)
+    chi = 4 * N_max * (N_max + k + h) + (osc / math.hypot(1.0, osc / w) if w else 0.0)
+    sturm = math.sqrt(w / 32 + chi / 4 + (k + h) ** 2 / 4) - (k + h) / 2
+    # rows to read: past T0 on that grid, from the Gaussian decay
+    # e^(-(i^2 - chi/4) / (pi c)) of the coefficients at large c; a first n
+    # past 2 T_CAP (or inf or nan) puts T0 past the cap
+    n = max(sturm + 6, math.sqrt(chi / 4 + 64 * math.pi * c) + 13)
+    while n <= 2 * T_CAP:
+        n = math.ceil(n)
+        mat = build(k, m, c, n)
+        e = np.abs(mat.offdiag)
+        with np.errstate(divide="ignore", invalid="ignore"):  # e = 0 at c = 0
+            cosh = (mat.diag[:-1] - chi) / (e + np.concatenate(([0.0], e[:-1])))
+        log_p0 = _log_p0(k, m, n)
+        s = np.cumsum(np.arccosh(np.fmax(cosh, 1.0))) - log_p0[:-1]
+        peak = int(np.argmin(s))
+        past = np.flatnonzero(s[peak:] - s[peak] >= _LOG_EPS)
+        T0 = max(peak + int(past[0]) + 3, math.ceil(sturm) + 5) if past.size else n
+        if T0 < n:
+            return T0, mat, log_p0
+        n *= 2
+    return 2 * T_CAP + 1, None, None
+
+
 def solve_block(parity: str, k: int, m: int, c: float, N_max: int,
                 tol: float | None = None) -> RadialEigenpair:
     """Certified eigenpairs of orders N = 0..N_max from one truncated matrix.
 
-    Tries T = T0 * 2^i <= T_CAP, T0 = 2 N_max + 16 + ceil(2c), and takes one
-    eigensolve per size: the N_max + 2 lowest eigenpairs (chi_j, v_j) of the
+    Tries T = T0 * 2^i <= T_CAP and takes one eigensolve per size.  T0 is
+    _first_truncation's estimate of the smallest T that certifies at
+    tol = eps, read from the decay of the coefficients of the even block
+    solved; every block of the grid it was fitted on certifies at T0.  The
+    eigensolve takes the N_max + 2 lowest eigenpairs (chi_j, v_j) of the
     leading T x T part M_T of the infinite matrix M.  Padded with zeros, v_j
     is an eigenvector of M up to the residual r_j = |M[T-1, T]| |v_j[T-1]|,
     as row T is the only row of M that it misses; so M has an eigenvalue in
@@ -192,39 +253,56 @@ def solve_block(parity: str, k: int, m: int, c: float, N_max: int,
     tol = default_tol() if tol is None else tol
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be positive and finite, got {tol}")
-    sizes = [2 * N_max + 16 + math.ceil(2 * c)]
+    kk = k + 1 if parity == "odd" else k
+    T0, mat, log_p0 = _first_truncation(kk, m, c, N_max)
+    sizes = [T0]
     while 2 * sizes[-1] <= T_CAP:
         sizes.append(2 * sizes[-1])
     failure = ConvergenceError(f"truncation exceeded {T_CAP} for (parity={parity}, "
                                f"k={k}, m={m}, c={c}, N={N_max})")
     if sizes[0] > T_CAP:
         raise failure
-    kk = k + 1 if parity == "odd" else k
-    h = m / 2
     for T in sizes:
-        mat = build(kk, m, c, T + 1)  # its last entry is M[T-1, T]
-        diag, off = mat.diag[:T], mat.offdiag[:T - 1]
-        # bisection down to the underflow threshold resolves each chi to a
-        # few ulps of itself instead of eps * ||M||, so a certified chi does
-        # not move with the truncation
-        chi, vecs = eigh_tridiagonal(diag, off, select="i",
-                                     select_range=(0, N_max + 1), tol=_BISECT_TOL)
-        # Gershgorin: each row i >= T of M has diag_i - |off_(i-1)| - |off_i|
-        # >= 4i(kk+i+h) - 4 pi^2 c^2 / (kk+2i+h-2), which grows with i
-        g = 4 * T * (kk + T + h) - 4 * math.pi ** 2 * c ** 2 / (kk + 2 * T + h - 2)
-        # log |p_i(0)|, i < T, up to a constant, from the ratio of successive
-        # Bonnet values at t = 0 (legendre); the odd basis has
-        # |q^k_i(0)| = |p^(k+1)_i(0)|
-        i = np.arange(T - 1)
-        log_p0 = np.concatenate(([0.0], np.cumsum(np.log(
-            (i + kk + h) / (i + 1) * np.sqrt((4 * i + 2 * kk + m + 4) / (4 * i + 2 * kk + m))))))
-        if _certified(diag, off, abs(mat.offdiag[-1]), g, chi, vecs,
-                      np.exp(log_p0 - log_p0[-1]), tol):
-            chi, vecs = chi[:-1], vecs[:, :-1]
-            big = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(N_max + 1)]
-            block = RadialEigenpair(chi, vecs * np.sign(big))
+        if mat.size <= T:
+            mat, log_p0 = build(kk, m, c, T + 1), _log_p0(kk, m, T + 1)
+        block = _certified_at(mat, log_p0[:T], kk, m, c, N_max, T, tol)
+        if block is not None:
             return as_odd(block, k, m) if parity == "odd" else block
     raise failure
+
+
+def _certified_at(mat: SymTridiag, log_p0: np.ndarray, kk: int, m: int, c: float,
+                  N_max: int, T: int, tol: float) -> RadialEigenpair | None:
+    """The even block (kk, m, c) of orders 0..N_max solved at truncation T,
+    or None where solve_block's certificate does not hold at T; mat is the
+    block's matrix built to at least T + 1 rows, for M[T-1, T], and log_p0
+    is _log_p0(kk, m, T)."""
+    h = m / 2
+    diag, off = mat.diag[:T], mat.offdiag[:T - 1]
+    # bisection down to the underflow threshold resolves each chi to a
+    # few ulps of itself instead of eps * ||M||, so a certified chi does
+    # not move with the truncation
+    chi, vecs = eigh_tridiagonal(diag, off, select="i",
+                                 select_range=(0, N_max + 1), tol=_BISECT_TOL)
+    # Gershgorin: each row i >= T of M has diag_i - |off_(i-1)| - |off_i|
+    # >= 4i(kk+i+h) - 4 pi^2 c^2 / (kk+2i+h-2), which grows with i
+    g = 4 * T * (kk + T + h) - 4 * math.pi ** 2 * c ** 2 / (kk + 2 * T + h - 2)
+    if not _certified(diag, off, abs(mat.offdiag[T - 1]), g, chi, vecs,
+                      np.exp(log_p0 - log_p0[-1]), tol):
+        return None
+    chi, vecs = chi[:-1], vecs[:, :-1]
+    big = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(N_max + 1)]
+    return RadialEigenpair(chi, vecs * np.sign(big))
+
+
+def _log_p0(k: int, m: int, T: int) -> np.ndarray:
+    """log |p_i(0)|, i < T, up to a constant, from the ratio of successive
+    Bonnet values at t = 0 (legendre); the odd basis has
+    |q^k_i(0)| = |p^(k+1)_i(0)|."""
+    h = m / 2
+    i = np.arange(T - 1)
+    return np.concatenate(([0.0], np.cumsum(np.log(
+        (i + k + h) / (i + 1) * np.sqrt((4 * i + 2 * k + m + 4) / (4 * i + 2 * k + m))))))
 
 
 def _certified(diag: np.ndarray, off: np.ndarray, b: float, g: float, chi: np.ndarray,

@@ -73,11 +73,19 @@ def _default_rule() -> QuadratureRule:
     return gauss_rule_unit_interval(default_nodes())
 
 
+@lru_cache(maxsize=1)
+def _default_grid() -> np.ndarray:
+    """The GRID_POINTS-point Chebyshev grid, built once and read-only."""
+    grid = chebyshev_grid(GRID_POINTS)
+    grid.setflags(write=False)
+    return grid
+
+
 def _check_grid(grid) -> np.ndarray:
     """The default Chebyshev grid, or the caller's grid checked to be a
     non-empty 1-D array of finite, positive, strictly increasing radii."""
     if grid is None:
-        return chebyshev_grid(GRID_POINTS)
+        return _default_grid()
     g = np.asarray(grid, dtype=float)
     if g.ndim != 1 or g.size == 0:
         raise ValueError(f"grid must be a non-empty 1-D array, got shape {g.shape}")

@@ -23,7 +23,7 @@ from numpy.polynomial import polynomial as P
 from scipy.special import jv
 
 from cliffordprolate.algebra import conj_coeffs, embed_coeffs, mul_coeffs
-from cliffordprolate.galerkin import SymTridiag, build
+from cliffordprolate.galerkin import T_CAP, SymTridiag, _certified_at, _log_p0, build
 from cliffordprolate.legendre import RadialPoly, radial_sequence
 from cliffordprolate.monogenics import PolyMultivector, basis, dirac
 from cliffordprolate.operators import (
@@ -215,6 +215,34 @@ def build_odd(k: int, m: int, c: float, T: int) -> SymTridiag:
 def build_parity(parity: str, k: int, m: int, c: float, T: int) -> SymTridiag:
     """M^e_k for parity "even", M^o_k for "odd"."""
     return {"even": build, "odd": build_odd}[parity](k, m, c, T)
+
+
+def smallest_certified_truncation(k: int, m: int, c: float, N_max: int,
+                                  tol: float = 1e-16) -> int | None:
+    """The smallest T at which solve_block's certificate holds for the even
+    block (k, m, c) of orders 0..N_max, or None if none does below 2 T_CAP.
+
+    Steps up from N_max + 2 by an eighth of the size until one certifies,
+    then bisects that last step, taking certification to be monotone in T
+    within it.
+    """
+    mat, log_p0 = build(k, m, c, 2 * T_CAP + 1), _log_p0(k, m, 2 * T_CAP)
+
+    def certified(T):
+        return _certified_at(mat, log_p0[:T], k, m, c, N_max, T, tol) is not None
+
+    lo, hi = N_max + 1, N_max + 2
+    while not certified(hi):
+        lo, hi = hi, hi + max(1, hi // 8)
+        if hi > 2 * T_CAP:
+            return None
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if not certified(mid):
+            lo = mid
+        else:
+            hi = mid
+    return hi
 
 
 def smallc_curvature(parity: str, k: int, m: int, N: int) -> float:

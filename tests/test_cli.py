@@ -129,10 +129,18 @@ def test_commands_at_m4():
     assert len(rows) == 5 and all(0 < float(g) <= float(lim) for _, g, lim in rows)
 
 
-@pytest.mark.parametrize("c, code", [("1100", 0), ("2100", 3)])
-def test_eigs_at_large_c_solves_below_the_truncation_cap(c, code):
-    # c = 1100 certifies at its first truncation, 2,218, which cannot
-    # double within the cap; c = 2100 starts past the cap
+@pytest.mark.parametrize("c, code", [("1100", 0), ("2100", 0), ("3700", 3)])
+def test_eigs_at_large_c_solves_below_the_truncation_cap(monkeypatch, c, code):
+    # c = 1100 and c = 2100 certify at their first truncations, 1,229 and
+    # 2,340 for the odd block; c = 3,681 is the largest whose blocks start
+    # within the cap, and c = 3700 exits before any eigensolve
+    import cliffordprolate.galerkin as galerkin
+
+    if code == 3:
+        def no_solve(*a, **kw):
+            raise AssertionError("eigensolve started past the truncation cap")
+
+        monkeypatch.setattr(galerkin, "eigh_tridiagonal", no_solve)
     res = run("eigs", "--m", "2", "--k", "0", "--c", c, "--count", "2")
     assert res.exit_code == code
     assert len(res.stdout.splitlines()) == (3 if code == 0 else 0)

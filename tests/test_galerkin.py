@@ -10,6 +10,7 @@ from scipy.linalg import eigh_tridiagonal
 from cliffordprolate.galerkin import (
     _BISECT_TOL,
     ConvergenceError,
+    _first_truncation,
     as_odd,
     build,
     solve_block,
@@ -25,6 +26,7 @@ from oracles import (
     galerkin_entries_mp,
     jacobi_eigenvalues,
     smallc_curvature,
+    smallest_certified_truncation,
 )
 
 
@@ -137,14 +139,17 @@ def test_non_finite_c_and_tol_are_named(bad):
 def test_truncation_cap_raises():
     # an order this high needs a truncation beyond the hard cap
     with pytest.raises(ConvergenceError):
-        solve_radial("even", 0, 2, 1.0, 3000)
+        solve_radial("even", 0, 2, 1.0, 4100)
 
 
-@pytest.mark.parametrize("N, c", [pytest.param(3000, 1.0, id="3000"),
-                                  pytest.param(0, 2100.0, id="c2100")])
+@pytest.mark.parametrize("N, c", [pytest.param(3000, 1000.0, id="3000"),
+                                  pytest.param(0, 4000.0, id="c4000"),
+                                  pytest.param(0, 1e200, id="c1e200"),
+                                  pytest.param(0, 1.7e308, id="c1.7e308")])
 def test_truncation_cap_is_checked_before_any_eigensolve(monkeypatch, N, c):
-    # T0 = 2N + 16 + ceil(2c) passes the cap
     import cliffordprolate.galerkin as galerkin
+
+    assert galerkin._first_truncation(0, 2, c, N)[0] > galerkin.T_CAP
 
     def no_solve(*a, **kw):
         raise AssertionError("eigensolve started past the truncation cap")
@@ -155,8 +160,11 @@ def test_truncation_cap_is_checked_before_any_eigensolve(monkeypatch, N, c):
 
 
 def test_first_truncation_below_the_cap_needs_no_room_to_double():
-    # T0 = 4,016 cannot double within the cap of 4,096, and certifies as it is
-    assert solve_block("even", 0, 2, 2000.0, 0).truncation == 4016
+    # T0 = 4,005 cannot double within the cap of 4,096, and certifies as it is
+    from cliffordprolate.galerkin import T_CAP
+
+    assert T_CAP // 2 < _T0(0, 2, 3600.0, 0) == 4005 <= T_CAP
+    assert solve_block("even", 0, 2, 3600.0, 0).truncation == 4005
 
 
 @pytest.mark.parametrize("m", [2, 3])
@@ -206,6 +214,11 @@ def test_block_arrays_are_read_only():
                 a[0] = 1.0
 
 
+def _T0(k, m, c, N_max):
+    """solve_block's first truncation for the even block (k, m, c)."""
+    return _first_truncation(k, m, c, N_max)[0]
+
+
 def _count_eigensolves(monkeypatch, alter=None):
     """Count solve_block's eigensolves; alter(call, chi, vecs) may rig a result."""
     import cliffordprolate.galerkin as galerkin
@@ -240,37 +253,158 @@ def test_block_is_certified_at_its_first_truncation(monkeypatch, m, c, k, parity
     calls = _count_eigensolves(monkeypatch)
     block = solve_block(parity, k, m, c, N_max)
     T = block.truncation
-    assert calls == [T] and T == 2 * N_max + 16 + math.ceil(2 * c)
+    assert calls == [T] and T == _T0(k + (parity == "odd"), m, c, N_max)
     chi, vecs = _solved_at(parity, k, m, c, N_max, 2 * T)
     assert np.all(np.abs(block.chi - chi) <= 1e-13 * np.abs(chi))
     padded = np.vstack((block.coeffs, np.zeros((T, N_max + 1))))
     assert np.max(np.abs(padded - vecs)) <= 1e-12
 
 
+# The smallest truncation that certifies at tol = 1e-16, for m = 2, 3, 5,
+# keyed by (c, N_max) and then k: oracles.smallest_certified_truncation on
+# the grid _first_truncation was fitted on.  Blocks where no T up to
+# 2 T_CAP certifies, at c = 12 with k = 100, N_max = 5 and at k >= 60 from
+# c = 700, are left out.
+T_EPS = {
+    (0.5, 0): {0: (12, 12, 12), 20: (10, 10, 10), 60: (9, 9, 9), 100: (9, 9, 9)},
+    (0.5, 5): {0: (15, 15, 15), 20: (14, 14, 14), 60: (14, 14, 14), 100: (13, 13, 13)},
+    (0.5, 15): {0: (23, 23, 23), 20: (24, 24, 24), 60: (23, 23, 23)},
+    (0.5, 30): {0: (38, 38, 38), 20: (38, 38, 38), 60: (38, 38, 38)},
+    (1.0, 0): {0: (15, 15, 15), 20: (13, 13, 13), 60: (12, 12, 12), 100: (11, 11, 11)},
+    (1.0, 5): {0: (17, 17, 17), 20: (17, 17, 17), 60: (16, 16, 16), 100: (15, 15, 15)},
+    (1.0, 15): {0: (25, 25, 25), 20: (26, 26, 26), 60: (25, 25, 25)},
+    (1.0, 30): {0: (39, 39, 39), 20: (40, 40, 40), 60: (40, 40, 40)},
+    (2.0, 0): {0: (19, 19, 19), 20: (18, 18, 18), 60: (16, 16, 16), 100: (14, 14, 14)},
+    (2.0, 5): {0: (21, 22, 22), 20: (21, 21, 21), 60: (20, 20, 20), 100: (19, 19, 19)},
+    (2.0, 15): {0: (29, 29, 29), 20: (29, 29, 29), 60: (28, 28, 28)},
+    (2.0, 30): {0: (42, 42, 42), 20: (42, 42, 42), 60: (42, 42, 42)},
+    (4.0, 0): {0: (25, 25, 26), 20: (27, 27, 27), 60: (23, 23, 23), 100: (21, 21, 21)},
+    (4.0, 5): {0: (29, 29, 29), 20: (29, 29, 29), 60: (26, 26, 26), 100: (25, 25, 25)},
+    (4.0, 15): {0: (35, 35, 35), 20: (35, 35, 35), 60: (34, 34, 34)},
+    (4.0, 30): {0: (47, 47, 47), 20: (47, 47, 47), 60: (47, 47, 47)},
+    (8.0, 0): {0: (34, 34, 35), 20: (40, 40, 40), 60: (37, 37, 37), 100: (33, 33, 33)},
+    (8.0, 5): {0: (40, 40, 41), 20: (42, 42, 42), 60: (39, 39, 39), 100: (36, 36, 36)},
+    (8.0, 15): {0: (47, 47, 47), 20: (46, 46, 46), 60: (45, 45, 45)},
+    (8.0, 30): {0: (56, 56, 56), 20: (56, 56, 56), 60: (56, 56, 56)},
+    (12.0, 0): {0: (40, 41, 42), 20: (50, 50, 50), 60: (50, 50, 50), 100: (45, 45, 45)},
+    (12.0, 5): {0: (48, 49, 49), 20: (53, 54, 54), 60: (51, 51, 51)},
+    (12.0, 15): {0: (58, 58, 58), 20: (58, 58, 58), 60: (56, 56, 56)},
+    (12.0, 30): {0: (66, 66, 66), 20: (66, 66, 66), 60: (65, 65, 65)},
+    (20.0, 0): {0: (51, 52, 54), 20: (66, 67, 67), 60: (72, 72, 72), 100: (69, 69, 69)},
+    (20.0, 5): {0: (62, 62, 63), 20: (71, 71, 71), 60: (74, 74, 74), 100: (70, 70, 70)},
+    (20.0, 15): {0: (75, 75, 75), 20: (79, 79, 79), 60: (78, 78, 77)},
+    (20.0, 30): {0: (87, 87, 87), 20: (87, 86, 86), 60: (84, 84, 84)},
+    (35.0, 0): {0: (67, 68, 71), 20: (90, 90, 91), 60: (103, 103, 103), 100: (106, 106, 106)},
+    (35.0, 5): {0: (81, 82, 83), 20: (96, 96, 97), 60: (107, 107, 107), 100: (109, 109, 109)},
+    (35.0, 15): {0: (98, 99, 99), 20: (107, 108, 108), 60: (114, 114, 114)},
+    (35.0, 30): {0: (117, 117, 117), 20: (121, 121, 121), 60: (123, 123, 123)},
+    (50.0, 0): {0: (79, 81, 84), 20: (108, 109, 110), 60: (128, 128, 128), 100: (135, 135, 136)},
+    (50.0, 5): {0: (96, 97, 99), 20: (116, 117, 117), 60: (133, 133, 133), 100: (139, 139, 139)},
+    (50.0, 15): {0: (117, 118, 119), 20: (130, 130, 131), 60: (142, 142, 142)},
+    (50.0, 30): {0: (140, 140, 141), 20: (147, 147, 148), 60: (154, 154, 154)},
+    (100.0, 0): {0: (116, 116, 118), 20: (156, 157, 158), 60: (191, 191, 192), 100: (210, 210, 211)},
+    (100.0, 5): {0: (135, 136, 139), 20: (168, 168, 169), 60: (199, 199, 200), 100: (216, 216, 217)},
+    (100.0, 15): {0: (165, 166, 168), 20: (188, 188, 189), 60: (213, 213, 214)},
+    (100.0, 30): {0: (198, 199, 200), 20: (213, 214, 214), 60: (232, 232, 233)},
+    (200.0, 0): {0: (227, 227, 228), 20: (242, 243, 243), 60: (281, 282, 283), 100: (316, 317, 317)},
+    (200.0, 5): {0: (240, 240, 241), 20: (254, 255, 255), 60: (292, 293, 294), 100: (325, 325, 326)},
+    (200.0, 15): {0: (265, 265, 266), 20: (277, 277, 278), 60: (313, 313, 314)},
+    (200.0, 30): {0: (298, 298, 298), 20: (307, 307, 308), 60: (342, 342, 343)},
+    (400.0, 0): {0: (449, 449, 450), 20: (466, 466, 467), 60: (494, 495, 495), 100: (518, 518, 519)},
+    (400.0, 5): {0: (463, 463, 464), 20: (479, 479, 480), 60: (506, 506, 507), 100: (529, 529, 529)},
+    (400.0, 15): {0: (489, 489, 490), 20: (504, 504, 505), 60: (529, 529, 530)},
+    (400.0, 30): {0: (526, 526, 527), 20: (539, 539, 539), 60: (561, 561, 562)},
+    (700.0, 0): {0: (782, 783, 783), 20: (800, 800, 801), 60: (831, 831, 832)},
+    (700.0, 5): {0: (796, 796, 797), 20: (813, 813, 814), 60: (844, 844, 845)},
+    (700.0, 15): {0: (823, 824, 824), 20: (839, 840, 840), 60: (868, 869, 869)},
+    (700.0, 30): {0: (862, 862, 863), 20: (877, 877, 878)},
+    (1000.0, 0): {0: (1115, 1116, 1117), 20: (1133, 1133, 1134), 60: (1166, 1166, 1167)},
+    (1000.0, 5): {0: (1129, 1130, 1131), 20: (1147, 1147, 1148)},
+    (1000.0, 15): {0: (1157, 1157, 1158), 20: (1173, 1174, 1175)},
+    (1000.0, 30): {0: (1197, 1197, 1198), 20: (1212, 1213, 1213)},
+    (1500.0, 0): {0: (1671, 1671, 1672), 20: (1689, 1689, 1690)},
+    (1500.0, 5): {0: (1685, 1685, 1686), 20: (1702, 1703, 1704)},
+    (1500.0, 15): {0: (1712, 1713, 1714), 20: (1730, 1730, 1731)},
+    (1500.0, 30): {0: (1753, 1754, 1754), 20: (1770, 1770, 1771)},
+    (2000.0, 0): {0: (2226, 2227, 2227), 20: (2244, 2245, 2245)},
+    (2000.0, 5): {0: (2240, 2241, 2242), 20: (2258, 2258, 2259)},
+    (2000.0, 15): {0: (2268, 2268, 2269), 20: (2285, 2286, 2287)},
+    (2000.0, 30): {0: (2309, 2310, 2310), 20: (2326, 2326, 2327)},
+}
+_M_GRID = (2, 3, 5)
+
+
+def test_first_truncation_is_within_15_percent_of_the_smallest_certified():
+    for (c, N_max), row in T_EPS.items():
+        for k, smallest in row.items():
+            for m, T_eps in zip(_M_GRID, smallest):
+                T0 = _T0(k, m, c, N_max)
+                assert T_eps <= T0 <= 1.15 * T_eps + 2, (k, m, c, N_max, T0, T_eps)
+
+
+@pytest.mark.parametrize("c", [4.0, 100.0])
+def test_smallest_certified_truncation_table_is_the_certificates(c):
+    # one column of the table, m = 3, found again by bisection
+    for N_max in (0, 5, 15, 30):
+        for k, smallest in T_EPS[c, N_max].items():
+            assert smallest_certified_truncation(k, 3, c, N_max) == smallest[1]
+
+
+@pytest.mark.parametrize("c", sorted({c for c, _ in T_EPS if c <= 400}))
+def test_grid_certifies_at_its_first_truncation_at_eps(c):
+    for (cc, N_max), row in T_EPS.items():
+        if cc == c:
+            for k in row:
+                for m in _M_GRID:
+                    block = solve_block("even", k, m, c, N_max, tol=1e-16)
+                    assert block.truncation == _T0(k, m, c, N_max)
+
+
+@pytest.mark.parametrize("m", _M_GRID)
+@pytest.mark.parametrize("c", [1000.0, 2000.0])
+def test_large_c_certifies_at_its_first_truncation_at_eps(c, m):
+    block = solve_block("even", 0, m, c, 0, tol=1e-16)
+    assert block.truncation == _T0(0, m, c, 0) < 1.15 * c
+
+
+def test_accumulate_blocks_match_a_solve_at_twice_the_truncation():
+    # the 32 blocks of partial_sum(3, 4, K=N=30): chi within 4 ulps and the
+    # coefficients within 4 eps of the same orders solved at 2 T0
+    eps = np.finfo(float).eps
+    for k in range(32):
+        block = solve_block("even", k, 3, 4.0, 30)
+        T = block.truncation
+        chi, vecs = _solved_at("even", k, 3, 4.0, 30, 2 * T)
+        assert np.all(np.abs(block.chi - chi) <= 4 * np.spacing(chi))
+        padded = np.vstack((block.coeffs, np.zeros((T, 31))))
+        assert np.max(np.abs(padded - vecs)) <= 4 * eps
+
+
 @pytest.mark.parametrize("tol", [1e-40, 1e-60])
 def test_tiny_tol_certifies_as_eps(monkeypatch, tol):
-    # the last coefficient is about 1e-28 at T0 = 38, and the eigensolver's
+    # the last coefficient is about 1e-21 at T0 = 33, and the eigensolver's
     # vector entries bottom out near 1e-51..1e-60, so a tol below eps would
     # only double: it takes the eps certificate of the tol = 1e-16 block
     m, c, k, N_max = 3, 4.0, 0, 7
     ref = solve_block("even", k, m, c, N_max, tol=1e-16)
     calls = _count_eigensolves(monkeypatch)
     block = solve_block("even", k, m, c, N_max, tol=tol)
-    assert calls == [2 * N_max + 16 + math.ceil(2 * c)]
+    assert calls == [_T0(k, m, c, N_max)]
     assert np.array_equal(block.chi, ref.chi) and np.array_equal(block.coeffs, ref.coeffs)
 
 
-def test_large_tail_doubles(monkeypatch):
-    def large_tail_first(call, chi, vecs):
-        if call == 1:  # the last row of order 0 holds more than tol
-            vecs = vecs.copy()
-            vecs[-1, 0] = 1e-6
-        return chi, vecs
+def _large_tail_first(call, chi, vecs):
+    if call == 1:  # the last row of order 0 holds more than tol
+        vecs = vecs.copy()
+        vecs[-1, 0] = 1e-6
+    return chi, vecs
 
+
+def test_large_tail_doubles(monkeypatch):
     k, m, c, N_max = 0, 3, 4.0, 7
-    calls = _count_eigensolves(monkeypatch, large_tail_first)
+    calls = _count_eigensolves(monkeypatch, _large_tail_first)
     block = solve_block("even", k, m, c, N_max, tol=1e-10)
-    T0 = 2 * N_max + 16 + math.ceil(2 * c)
+    T0 = _T0(k, m, c, N_max)
     assert calls == [T0, 2 * T0] and block.truncation == 2 * T0
     chi, vecs = _solved_at("even", k, m, c, N_max, 2 * T0)
     assert np.array_equal(block.chi, chi) and np.array_equal(block.coeffs, vecs)
@@ -287,7 +421,7 @@ def test_overlapping_intervals_double(monkeypatch, parity):
     k, m, c, N_max = 1, 3, 2.0, 3
     calls = _count_eigensolves(monkeypatch, overlap_first)
     block = solve_block(parity, k, m, c, N_max)
-    T0 = 2 * N_max + 16 + math.ceil(2 * c)
+    T0 = _T0(k + (parity == "odd"), m, c, N_max)
     assert calls == [T0, 2 * T0] and block.truncation == 2 * T0
     chi, vecs = _solved_at(parity, k, m, c, N_max, 2 * T0)
     assert np.array_equal(block.chi, chi) and np.array_equal(block.coeffs, vecs)
@@ -338,7 +472,8 @@ def test_doubled_block_weights_are_a_prefix_of_the_whole_ladder(
         monkeypatch, parity, k, m, c, N_max, tol):
     # the tail weights are built per truncation; they equal, bit for bit,
     # the prefix of one table over the largest size of the ladder, so a
-    # block that has to double certifies where it did with that table
+    # block that has to double certifies where it did with that table.
+    # These blocks certify at T0; a large tail at T0 makes them double.
     import cliffordprolate.galerkin as galerkin
 
     reaches = []
@@ -349,10 +484,11 @@ def test_doubled_block_weights_are_a_prefix_of_the_whole_ladder(
 
     certified = galerkin._certified
     monkeypatch.setattr(galerkin, "_certified", recording)
+    _count_eigensolves(monkeypatch, _large_tail_first)
     block = solve_block(parity, k, m, c, N_max, tol)
-    T0 = 2 * N_max + 16 + math.ceil(2 * c)
-    assert len(reaches) == 2 and block.truncation == 2 * T0
     kk, h = k + (parity == "odd"), m / 2
+    T0 = _T0(kk, m, c, N_max)
+    assert len(reaches) == 2 and block.truncation == 2 * T0
     i = np.arange(T0 * 2 ** int(math.log2(galerkin.T_CAP // T0)) - 1)
     whole = np.concatenate(([0.0], np.cumsum(np.log(
         (i + kk + h) / (i + 1) * np.sqrt((4 * i + 2 * kk + m + 4) / (4 * i + 2 * kk + m))))))
@@ -379,7 +515,7 @@ def test_eigensolve_is_scipys_bit_for_bit(monkeypatch, fresh_loader, path):
         for k in (0, 10):
             for m in (2, 5):
                 for N in (0, 15):
-                    T0 = 2 * N + 16 + math.ceil(2 * c)
+                    T0 = _T0(k, m, c, N)
                     for T in (T0, 2 * T0):
                         mat = build(k, m, c, T)
                         kw = dict(select="i", select_range=(0, N + 1), tol=_BISECT_TOL)

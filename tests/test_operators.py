@@ -275,6 +275,20 @@ def test_cached_matrices_are_read_only():
             mat[0, 0] = 1.0
 
 
+def test_default_grid_is_built_once_and_read_only(monkeypatch):
+    import cliffordprolate.special as special
+
+    psi = make_cpswf(1, 0, 2, 1.0)
+    first = apply_Gc(psi).grid
+    monkeypatch.setattr(special, "chebyshev_grid", None)  # no rebuild
+    monkeypatch.setattr(operators, "chebyshev_grid", None)
+    verify(psi)
+    assert apply_QPc(psi).grid is first
+    assert np.array_equal(first, chebyshev_grid(GRID_POINTS))
+    with pytest.raises(ValueError, match="read-only"):
+        first[0] = 0.5
+
+
 BAD_GRIDS = {
     "decreasing": [0.5, 0.3],
     "repeated": [0.3, 0.3],
