@@ -209,9 +209,10 @@ def field(n, k, idx, m, c, grid, tol):
     for mask in range(1 << m):
         name = "e" + "".join(str(j + 1) for j in range(m) if mask >> j & 1) if mask else "e0"
         cols += [f"{name}_re", f"{name}_im"]
-    # a point, then (re, im) of each blade; a grid of corners only has no rows
-    rows = np.empty((len(pts), len(cols)))
-    rows[:, :m], rows[:, m::2], rows[:, m + 1::2] = pts, vals.real, vals.imag
+    # a point, then (re, im) of each blade; the field is real, so every im
+    # is 0; a grid of corners only has no rows
+    rows = np.zeros((len(pts), len(cols)))
+    rows[:, :m], rows[:, m::2] = pts, vals
     return cols, rows.tolist()
 
 

@@ -144,15 +144,22 @@ class PolyMultivector:
 
 def monomial_table(exps: np.ndarray, x: np.ndarray) -> np.ndarray:
     """The T monomials x^exps[t] at points x of shape (..., m), as a real
-    array (..., T), built by repeated products of the coordinates."""
+    array (..., T), built by repeated products of the coordinates.
+
+    The table is built as (T, points) rows and returned as its transposed
+    view: each coordinate's powers, one (degree + 1, points) array, are
+    gathered by whole rows, as numpy gathers along the last axis slowly,
+    and multiplied into a ones table in coordinate order.
+    """
     lead = x.shape[:-1]
-    mono = np.ones(lead + (len(exps),))
+    pts = x.reshape(-1, x.shape[-1])
+    mono = np.ones((len(exps), len(pts)))
     for j in range(exps.shape[1]):
-        powers = [np.ones(lead)]
-        for _ in range(exps[:, j].max(initial=0)):
-            powers.append(powers[-1] * x[..., j])
-        mono *= np.stack(powers, axis=-1)[..., exps[:, j]]
-    return mono
+        powers = np.ones((exps[:, j].max(initial=0) + 1, len(pts)))
+        for e in range(1, len(powers)):
+            np.multiply(powers[e - 1], pts[:, j], out=powers[e])
+        mono *= powers[exps[:, j]]
+    return mono.T.reshape(lead + (len(exps),))
 
 
 def _dirac(p: PolyMultivector, axes: tuple[int, ...]) -> PolyMultivector:

@@ -18,7 +18,8 @@ over its even and odd records, with their radial factors from one Bonnet
 recurrence per group of degrees; a Cpswf is built only on request, as one
 column of a record, and make_cpswf is the last column of its block's.
 eval_field_coeffs evaluates every basis index of a record at one point set
-from one table of the radial factor times the monomials (_field_table).
+from one table of the radial factor times the monomials (_field_table), as
+real float64 arrays: every monogenic basis is real, so the field is too.
 """
 
 from __future__ import annotations
@@ -215,8 +216,8 @@ def make_cpswf(n: int, k: int, m: int, c: float, tol: float | None = None) -> Cp
     """The order-n CPSWF: the last column of its one-parity block's record."""
     _check_order(n, [k], c)
     block = solve_block("even" if n % 2 == 0 else "odd", k, m, c, n // 2, tol)
-    table = radial_values(k, m, block.truncation - 1, np.zeros(1))[n % 2]
-    return _block_cpswfs(block, table[:, 0], n % 2, k, m, float(c))[-1]
+    zero = radial_values(k, m, block.truncation - 1, 0.0)[n % 2]  # p_i(0) or q_i(0), shape (T,)
+    return _block_cpswfs(block, zero, n % 2, k, m, float(c))[-1]
 
 
 # degrees per Bonnet recurrence in cpswf_blocks.  A group's tables hold
@@ -320,7 +321,13 @@ def _field_table(psi: Cpswf, x: np.ndarray) -> np.ndarray:
 
 
 def eval_field_coeffs(psi: Cpswf, i: int, x: np.ndarray) -> np.ndarray:
-    """Raw Clifford coefficients of the field at points of shape (..., m).
+    """Raw Clifford coefficients of the field at points of shape (..., m),
+    as a new real float64 array (..., 2^m).
+
+    The field is real: every monogenic basis is built in real arithmetic
+    (field_basis), and R(t) and the monomials are real, so a complex result
+    would only carry an imaginary half of exact zeros.  eval_field wraps
+    the same values as a complex Multivector.
 
     Every basis index of psi at one point set shares one table of R(t)
     times the monomials; the last table is kept, keyed on the record itself
@@ -335,11 +342,7 @@ def eval_field_coeffs(psi: Cpswf, i: int, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.ndim == 0 or x.shape[-1] != m:
         raise ValueError(f"points must have shape (..., {m}), got {x.shape}")
-    table = _field_table(psi, x)
-    coeffs = field_basis(m, psi.k, psi.parity == "odd")[1][i - 1]
-    out = np.zeros(x.shape[:-1] + (1 << m,), dtype=complex)
-    out.real = table @ coeffs
-    return out
+    return _field_table(psi, x) @ field_basis(m, psi.k, psi.parity == "odd")[1][i - 1]
 
 
 def eval_field(psi: Cpswf, i: int, x) -> Multivector:

@@ -102,9 +102,14 @@ def test_field_rows_are_the_disc_points_in_grid_order(m, grid, i):
     pts = np.array([(a, b) + (0.0,) * (m - 2) for a in ax for b in ax if a * a + b * b <= 1.0])
     vals = eval_field_coeffs(make_cpswf(1, 1, m, 1.0), i, pts)
     want = [",".join(format(float(v), ".17g") for v in (*p, *np.column_stack(
-        (row.real, row.imag)).ravel())) for p, row in zip(pts, vals)]
+        (row, np.zeros_like(row))).ravel())) for p, row in zip(pts, vals)]
     res = run(*f"field --n 1 --k 1 --i {i} --m {m} --c 1 --grid {grid}".split())
     assert res.exit_code == 0 and res.output.splitlines()[1:] == want
+    # the field is real: every blade's _im cell is 0
+    header, *lines = res.output.splitlines()
+    im = [j for j, name in enumerate(header.split(",")) if name.endswith("_im")]
+    assert len(im) == 1 << m and lines
+    assert all(line.split(",")[j] == "0" for line in lines for j in im)
 
 
 def test_field_at_m3_degree_9():

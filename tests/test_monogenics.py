@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from cliffordprolate.algebra import embed_coeffs, mul_coeffs
-from cliffordprolate.monogenics import PolyMultivector, basis, dim_monogenic, dirac
+from cliffordprolate.monogenics import (
+    PolyMultivector, basis, dim_monogenic, dirac, field_basis, monomial_table)
 from cliffordprolate.prolate import eval_field_coeffs, make_cpswf
 from cliffordprolate.special import sphere_area
 
@@ -205,6 +206,37 @@ def test_zero_polynomial(m):
         assert zero.degree() == -1 and zero.max_coeff() == 0.0 and zero.is_homogeneous()
         assert np.array_equal(zero.evaluate_coeffs(pts), np.zeros((7, 1 << m)))
         assert np.array_equal(zero.evaluate_coeffs(pts[0]), np.zeros(1 << m))
+
+
+def _monomial_table_by_columns(exps, x):
+    """Reference monomial table: each coordinate's repeated products
+    gathered along the last axis and multiplied into a ones table
+    coordinate by coordinate."""
+    lead = x.shape[:-1]
+    mono = np.ones(lead + (len(exps),))
+    for j in range(exps.shape[1]):
+        powers = [np.ones(lead)]
+        for _ in range(exps[:, j].max(initial=0)):
+            powers.append(powers[-1] * x[..., j])
+        mono *= np.stack(powers, axis=-1)[..., exps[:, j]]
+    return mono
+
+
+@pytest.mark.parametrize("m", [2, 3, 5])
+def test_monomial_table_is_bit_identical_to_the_column_order(m):
+    rng = np.random.default_rng(90 + m)
+    exps = rng.integers(0, 5, (12, m))
+    exps[3] = 0  # the constant monomial
+    exps[:, 1] = 0  # a coordinate whose largest exponent is 0
+    for e in (exps, field_basis(m, 3, True)[0], np.zeros((0, m), dtype=int)):
+        base = rng.uniform(-1.2, 1.2, (24, m))
+        points = [base, base.reshape(4, 6, m), base[5], base[:0],
+                  np.asfortranarray(base), base[::3], base.reshape(6, 4, m)[:, ::2]]
+        for x in points:
+            got, want = monomial_table(e, x), _monomial_table_by_columns(e, x)
+            assert got.shape == want.shape == x.shape[:-1] + (len(e),)
+            assert got.dtype == np.float64
+            assert np.ascontiguousarray(got).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("m,k", [(2, 4), (3, 3)])

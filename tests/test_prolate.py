@@ -14,7 +14,7 @@ from cliffordprolate.algebra import Multivector, embed
 from cliffordprolate.galerkin import solve_block
 from cliffordprolate.legendre import radial_values
 from cliffordprolate import prolate
-from cliffordprolate.monogenics import PolyMultivector, basis
+from cliffordprolate.monogenics import PolyMultivector, basis, dim_monogenic
 from cliffordprolate.prolate import (
     eval_field,
     eval_field_coeffs,
@@ -263,8 +263,33 @@ def test_field_memo_matches_a_memo_free_reference(steps):
             x = np.asfortranarray(x)
         got = eval_field_coeffs(psi, i, x)
         want = _field_reference(psi, i, x)
-        assert got.dtype == complex and got.shape == want.shape
+        assert got.dtype == np.float64 and got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("odd", [0, 1])
+@pytest.mark.parametrize("m", [2, 3, 5])
+def test_field_coeffs_are_fresh_writable_real_arrays(m, odd):
+    # the memo table is read-only and shared by every index; each call
+    # still returns its own C-contiguous float64 array
+    psi = make_cpswf(odd, 2, m, 2.0)
+    rng = np.random.default_rng(64 + m)
+    x = rng.uniform(-1, 1, (9, m)) / math.sqrt(m)
+    for i in range(1, min(2, dim_monogenic(m, 2)) + 1):
+        first = eval_field_coeffs(psi, i, x)
+        before = first.copy()
+        again = eval_field_coeffs(psi, i, x)
+        for got in (first, again):
+            assert got.dtype == np.float64 and got.shape == (9, 1 << m)
+            assert got.flags.c_contiguous and got.flags.writeable and got.flags.owndata
+        assert not np.shares_memory(first, again)
+        first[:] = 7.0
+        assert eval_field_coeffs(psi, i, x).tobytes() == before.tobytes()
+        v = eval_field(psi, i, x[3])
+        assert v.coeffs.dtype == complex and np.all(v.coeffs.imag == 0)
+        assert v.coeffs.real.tobytes() == eval_field_coeffs(psi, i, x[3]).tobytes()
+        # one point against nine: BLAS may sum the T products in another order
+        assert np.max(np.abs(v.coeffs.real - before[3])) <= 1e-15 * np.max(np.abs(before[3]))
 
 
 def test_field_memo_keeps_each_result_under_concurrent_callers():
@@ -409,6 +434,24 @@ def test_records_equal_the_per_order_formulas():
                     assert np.array_equal(psi.basis_at_zero, zero)
                     count += 1
     assert count == 378
+
+
+def test_make_cpswf_reads_p_at_zero_like_the_array_route():
+    # make_cpswf takes p_i(0) or q_i(0) from a scalar t = 0; the record must
+    # equal the one built from a one-point table, radial_values(.., [0.0]), to the bit
+    for m in (2, 3, 5, 8):
+        for c in (0.5, 1.0, 4.0, 20.0):
+            for k in (0, 3, 7):
+                for n in range(9):
+                    psi = make_cpswf(n, k, m, c)
+                    T = psi.pair.truncation
+                    zero = radial_values(k, m, T - 1, np.zeros(1))[n % 2][:, 0]
+                    block = solve_block(psi.parity, k, m, c, n // 2)
+                    ref = prolate._block_cpswfs(block, zero, n % 2, k, m, c)[-1]
+                    assert _bits(psi.chi, psi.mu, psi.lam, psi.value_at_zero) == _bits(
+                        ref.chi, ref.mu, ref.lam, ref.value_at_zero)
+                    assert psi._active == ref._active
+                    assert psi.basis_at_zero.tobytes() == ref.basis_at_zero.tobytes()
 
 
 def test_orders_of_a_block_share_one_read_only_basis_at_zero():
