@@ -11,8 +11,8 @@ Exit codes:
      the checks are the G_c residual |G_c psi - mu_est psi| / |mu_est psi|
      in the sup norm (not a column) and the QP_c `residual` column, while
      ratio_spread is reported but not checked
-  2  invalid input: a bad option value, a non-finite c, --tol or CPSWF_TOL
-     outside (0, 1e-4], a CPSWF_NODES outside [128, 4096], a verify
+  2  invalid input: a bad option value, a non-finite c, a --tol outside
+     (0, 1e-4], a verify c whose Gauss rule would pass 4096 nodes, a verify
      --threshold that is not a finite number > 0, or an unwritable --output
   3  convergence failure of the adaptive truncation
 Errors of exit codes 2 and 3 that the option parser does not catch itself
@@ -31,12 +31,11 @@ import click
 import numpy as np
 
 from .accumulation import limit_value, partial_sum
-from .galerkin import ConvergenceError, solve_block
+from .galerkin import DEFAULT_TOL, ConvergenceError, solve_block
 from .galerkin import solve_radial  # noqa: F401  (kept for the benchmark's span hooks)
 from .legendre import radial_sequence
-from .operators import verify as op_verify
+from .operators import rule_nodes, verify as op_verify
 from .prolate import cpswf_blocks, eval_field_coeffs, eval_radial, make_cpswf
-from .special import default_tol
 
 
 def _fmt(v) -> str:
@@ -66,10 +65,9 @@ class _Exit(click.ClickException):
         self.exit_code = code
 
 
-def _bounded_tol(tol: float | None) -> float:
-    tol = default_tol() if tol is None else tol
+def _bounded_tol(tol: float) -> float:
     if not 0 < tol <= 1e-4:
-        raise ValueError(f"--tol/CPSWF_TOL must be in (0, 1e-4], got {tol:g}")
+        raise ValueError(f"--tol must be in (0, 1e-4], got {tol:g}")
     return tol
 
 
@@ -82,10 +80,10 @@ def command(solves: bool = True):
     """Register a subcommand whose body returns (columns, rows[, ok]).
 
     The registrar adds --format and --output, plus --tol when the command
-    solves (bounded to (0, 1e-4], CPSWF_TOL included, and passed to the
-    body resolved).  Around the body only, a ValueError from an input check
-    exits 2 and a ConvergenceError exits 3; the table is then written, and
-    a body that returns ok = False exits 1.
+    solves (default DEFAULT_TOL, bounded to (0, 1e-4]).  Around the body
+    only, a ValueError from an input check exits 2 and a ConvergenceError
+    exits 3; the table is then written, and a body that returns ok = False
+    exits 1.
     """
     def register(body):
         # wraps also copies the body's @click.option list (__click_params__)
@@ -111,7 +109,7 @@ def command(solves: bool = True):
 
         cmd = main.command()(run)
         if solves:
-            cmd.params.append(click.Option(["--tol"], type=float, default=None,
+            cmd.params.append(click.Option(["--tol"], type=float, default=DEFAULT_TOL,
                                            help="Convergence tolerance in (0, 1e-4]; a tol below "
                                                 "machine epsilon certifies as epsilon."))
         cmd.params += [
@@ -237,6 +235,7 @@ def verify(m, c, kspec, nmax, threshold, tol):
     """Verify the operator eigenrelations; exit 1 if any check fails."""
     if not 0 < threshold < np.inf:
         raise ValueError(f"--threshold must be a finite number > 0, got {threshold:g}")
+    rule_nodes(c)  # a c past the rule's cap exits 2 before any solve
     rows = []
     ok = True
     for k, orders, _ in cpswf_blocks(m, c, _k_range(kspec), nmax, tol):

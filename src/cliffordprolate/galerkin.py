@@ -25,9 +25,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .special import default_tol, scipy_extension
+from .special import scipy_extension
 
 T_CAP = 4096
+DEFAULT_TOL = 1e-10  # solve_block's tol when none is given, and --tol's default
 _BISECT_TOL = 2 * np.finfo(float).tiny  # LAPACK stebz's most accurate ABSTOL
 
 
@@ -250,7 +251,7 @@ def solve_block(parity: str, k: int, m: int, c: float, N_max: int,
         raise ValueError(f"m must be >= 2, got {m}")
     if parity not in ("even", "odd"):
         raise ValueError("parity must be 'even' or 'odd'")
-    tol = default_tol() if tol is None else tol
+    tol = DEFAULT_TOL if tol is None else tol
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be positive and finite, got {tol}")
     kk = k + 1 if parity == "odd" else k

@@ -27,10 +27,10 @@ from .algebra import mul_coeffs  # noqa: F401  (kept for the benchmark's span ho
 from .monogenics import basis  # noqa: F401  (kept for the benchmark's span hooks)
 from .prolate import Cpswf
 from .special import (
+    MAX_NODES,
     QuadratureRule,
     ball_volume,
     chebyshev_grid,
-    default_nodes,
     gauss_rule_unit_interval,
     scipy_extension,
 )
@@ -69,8 +69,19 @@ class VerificationReport:
     gc_residual: float
 
 
-def _default_rule() -> QuadratureRule:
-    return gauss_rule_unit_interval(default_nodes())
+def rule_nodes(c: float) -> int:
+    """Gauss nodes of the default rule at bandwidth c, max(256, ceil(1.2 c) + 76),
+    6% or more above each row of the operator tests' fit grid (k = 0, c = 100
+    to 1500: 171 to 1,376 nodes for residuals of 1e-9).  Raises ValueError
+    past MAX_NODES, for c above 3350, nan and inf."""
+    if not 1.2 * c + 76 <= MAX_NODES:
+        raise ValueError(f"verify's quadrature takes c <= {(MAX_NODES - 76) / 1.2:g} "
+                         f"({MAX_NODES} Gauss nodes), got c = {c:g}")
+    return max(256, math.ceil(1.2 * c) + 76)
+
+
+def _default_rule(c: float) -> QuadratureRule:
+    return gauss_rule_unit_interval(rule_nodes(c))
 
 
 @lru_cache(maxsize=1)
@@ -158,9 +169,13 @@ def _operator_matrices(nu: float, c: float, grid: np.ndarray,
     orders.  The key is the content of the inputs (nu, c and the bytes of
     the grid, nodes and weights), never an id.  Each entry keeps
     2 * len(grid) * n doubles, plus its 16 n key bytes: 256 KiB at the
-    default 64-point grid and 256 nodes, 4 MiB at MAX_NODES = 4096, so
-    about 65 MiB for a full cache of MATRIX_CACHE_ENTRIES entries at
-    MAX_NODES.  A longer caller grid grows an entry in proportion.
+    default 64-point grid and 256 nodes (the default rule up to c = 150),
+    4 MiB at MAX_NODES = 4096 (c = 3350), so about 65 MiB for a full cache
+    of MATRIX_CACHE_ENTRIES entries at MAX_NODES.  A longer caller grid
+    grows an entry in proportion.  Building an entry also makes the n x n
+    node-to-node matrix and transform_matrix's temporaries of that size,
+    128 MiB each at MAX_NODES: `verify --m 2 --c 3350 --k 0 --nmax 0`
+    peaks at 427 MiB RSS, against 40 MiB at c = 1.
     """
     return _cached_matrices(float(nu), float(c), grid.tobytes(),
                             rule.nodes.tobytes(), rule.weights.tobytes())
@@ -175,8 +190,8 @@ def _psi_setup(psi: Cpswf) -> tuple[int, float, int]:
 
 
 def _matrices(psi: Cpswf, grid: np.ndarray, rule: QuadratureRule | None):
-    """(G, Q, rule) of psi on a checked grid, with the default rule for None."""
-    rule = _default_rule() if rule is None else rule
+    """(G, Q, rule) of psi on a checked grid, with the default rule of psi.c for None."""
+    rule = _default_rule(psi.c) if rule is None else rule
     _, nu, _ = _psi_setup(psi)
     return (*_operator_matrices(nu, psi.c, grid, rule), rule)
 

@@ -188,8 +188,12 @@ def _block_cpswfs(block: RadialEigenpair, zero: np.ndarray, odd: int,
     at_zero = np.array([block.coeffs[:na, j] @ zero[:na] for j, na in enumerate(active.tolist())])
     kappa = k + odd
     phase = -(1j ** kappa) if odd else 1j ** kappa
-    num = phase * math.sqrt(2 * kappa + m) * math.pi ** (kappa + m / 2) * c ** kappa
-    den = gamma_fn(kappa + m / 2 + 1)
+    try:
+        num = phase * math.sqrt(2 * kappa + m) * math.pi ** (kappa + m / 2) * c ** kappa
+        den = gamma_fn(kappa + m / 2 + 1)
+    except OverflowError:  # Gamma from kappa + m/2 = 170, or c^kappa: the same prefactor by logs
+        num, den = phase * math.exp(math.log(2 * kappa + m) / 2 + (kappa + m / 2) * math.log(math.pi)
+                                    + kappa * math.log(c) - math.lgamma(kappa + m / 2 + 1)), 1.0
     # Python's complex * float and complex / float, signed zeros included:
     # a / d = ((a.re + a.im r) / d, (a.im - a.re r) / d) with r = 0.0 / d
     a = np.complex128(num) * block.coeffs[0]
@@ -332,7 +336,10 @@ def eval_field_coeffs(psi: Cpswf, i: int, x: np.ndarray) -> np.ndarray:
     Every basis index of psi at one point set shares one table of R(t)
     times the monomials; the last table is kept, keyed on the record itself
     and on the points' shape and bytes, so the next index at the same
-    points costs one real product.
+    points costs one real product.  That product sums the T terms in a BLAS
+    order that depends on the number of points (gemv for one, gemm for
+    more), so a point's value can move in the last bits with its company:
+    up to 2.2e-16 over 200 points at m = 3, k = 2, n = 0, c = 2.
     """
     m = psi.m
     _check_ints(i=i)

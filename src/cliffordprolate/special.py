@@ -23,29 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-MIN_NODES = 128
 MAX_NODES = 4096
-
-
-def _env(name: str, default: str, kind: type, what: str):
-    text = os.environ.get(name, default)
-    try:
-        return kind(text)
-    except ValueError:
-        raise ValueError(f"{name} must be {what}, got {text!r}") from None
-
-
-def default_tol() -> float:
-    """Convergence tolerance, overridable through CPSWF_TOL."""
-    return _env("CPSWF_TOL", "1e-10", float, "a number")
-
-
-def default_nodes() -> int:
-    """Base quadrature node count, overridable through CPSWF_NODES."""
-    n = _env("CPSWF_NODES", "256", int, "an integer")
-    if not MIN_NODES <= n <= MAX_NODES:
-        raise ValueError(f"CPSWF_NODES must be in [{MIN_NODES}, {MAX_NODES}], got {n}")
-    return n
 
 
 @lru_cache(maxsize=None)

@@ -534,7 +534,7 @@ def ball_gram(entries, radial_rule: QuadratureRule | None = None,
     psi's own radial factor by given values at the radial rule nodes
     (used for transformed fields like QP_c psi).
     """
-    radial_rule = _default_rule() if radial_rule is None else radial_rule
+    radial_rule = _default_rule(entries[0][0].c) if radial_rule is None else radial_rule
     m = entries[0][0].m
     sphere = sphere_rule(m, sphere_order)
     r = radial_rule.nodes
@@ -569,7 +569,7 @@ def dual_orthogonality_check(entries, radial_rule: QuadratureRule | None = None,
     (lambda_p lambda_q)^(-1/2) <QP_c psi_p, QP_c psi_q> and should be
     diag(lambda).  Returns (gram_rm, gram_ball).
     """
-    radial_rule = _default_rule() if radial_rule is None else radial_rule
+    radial_rule = _default_rule(entries[0][0].c) if radial_rule is None else radial_rule
     qp_profiles = []
     for psi, _ in entries:
         _, nu, _ = _psi_setup(psi)
@@ -597,7 +597,7 @@ def profiles_together(psi: Cpswf, grid=None, rule: QuadratureRule | None = None)
     before apply_Gc and apply_QPc were split: both products at once, from
     one evaluation of psi's radial factor at the rule nodes."""
     grid = _check_grid(grid)
-    rule = _default_rule() if rule is None else rule
+    rule = _default_rule(psi.c) if rule is None else rule
     kappa = psi.k + psi.n % 2
     nu, phase = kappa + psi.m / 2 - 1, 1j ** kappa
     G, Q = _operator_matrices(nu, psi.c, grid, rule)

@@ -95,7 +95,7 @@ def test_cache_misses_go_through_transform_matrix(monkeypatch):
     operators._cached_matrices.cache_clear()
     psi = make_cpswf(1, 2, 3, 1.0)
     operators.verify(psi)
-    nodes = operators._default_rule().nodes.shape
+    nodes = operators._default_rule(psi.c).nodes.shape
     assert sorted(seen) == sorted([(operators.GRID_POINTS,), nodes])
     operators.verify(psi)
     assert len(seen) == 2

@@ -1,6 +1,7 @@
 """CLI contract: formats, determinism, exit codes."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -176,6 +177,95 @@ def test_verify_gates_on_residuals_at_large_c():
     assert bad.output.count(",fail") == 8
 
 
+@pytest.mark.parametrize("args", [
+    "verify --m 2 --c 200 --k 0 --nmax 3",
+    "verify --m 2 --c 600 --k 0 --nmax 3",
+    "verify --m 3 --c 300 --k 0..1 --nmax 2",
+])
+def test_verify_passes_at_large_c(args):
+    # a fixed 256-node rule failed each of these: the rule now grows with c
+    res = run(*args.split())
+    assert res.exit_code == 0
+    lines = res.output.splitlines()[1:]
+    assert lines and all(line.endswith(",pass") for line in lines)
+
+
+def test_verify_past_the_node_cap_exits_2_before_any_solve(monkeypatch):
+    import cliffordprolate.cli as cli_mod
+
+    def no_solve(*a, **kw):
+        raise AssertionError("solve started past the node cap")
+
+    monkeypatch.setattr(cli_mod, "cpswf_blocks", no_solve)
+    res = run(*"verify --m 2 --c 3351 --k 0 --nmax 0".split())
+    assert res.exit_code == 2 and res.stdout == ""
+    assert res.stderr == ("Error: verify's quadrature takes c <= 3350 (4096 Gauss nodes), "
+                          "got c = 3351\n")
+
+
+# environments that the package once read, each with a command it changed
+ENVIRONMENTS = {
+    "env-tol-not-number": ({"CPSWF_TOL": "abc"}, "eigs --m 2 --k 0 --c 1 --count 1"),
+    "env-nodes-not-number": ({"CPSWF_NODES": "abc"}, "verify --m 2 --c 1 --k 0 --nmax 0"),
+    "env-nodes-too-many": ({"CPSWF_NODES": "10000"}, "verify --m 2 --c 1 --k 0 --nmax 0"),
+    "env-tol-too-loose": ({"CPSWF_TOL": "1e-3"}, "spectrum --m 2 --kmax 0 --nmax 0 --c 1"),
+    "env-nodes-zero": ({"CPSWF_NODES": "0"}, "verify --m 2 --c 1 --k 0 --nmax 0"),
+    "env-nodes-five": ({"CPSWF_NODES": "5"}, "verify --m 2 --c 1 --k 0 --nmax 0"),
+    "env-nodes-127": ({"CPSWF_NODES": "127"}, "verify --m 2 --c 1 --k 0 --nmax 0"),
+    "env-nodes-128": ({"CPSWF_NODES": "128"}, "verify --m 2 --c 1 --k 0 --nmax 0"),
+    "env-both-eigs": ({"CPSWF_TOL": "abc", "CPSWF_NODES": "5"},
+                      "eigs --m 3 --k 1 --c 2 --count 4"),
+    "env-both-verify": ({"CPSWF_TOL": "abc", "CPSWF_NODES": "5"},
+                        "verify --m 3 --c 20 --k 0..1 --nmax 2"),
+}
+
+
+@pytest.mark.parametrize("case", ENVIRONMENTS)
+def test_environment_is_not_read(case):
+    env, args = ENVIRONMENTS[case]
+    plain = run(*args.split())
+    res = CliRunner().invoke(main, args.split(), env=env)
+    assert res.exit_code == plain.exit_code == 0
+    assert res.stdout_bytes == plain.stdout_bytes and plain.stdout_bytes
+
+
+@pytest.mark.parametrize("args, rows", [
+    ("eigs --m 2 --k 170 --c 1 --count 2", 2),
+    ("spectrum --m 2 --kmax 170 --nmax 1 --c 1", 342),
+    ("radial --n 1 --k 170 --m 2 --c 1 --grid 5", 5),
+    ("field --n 1 --k 170 --m 2 --c 1 --grid 5", 13),
+])
+def test_degree_170_runs_past_the_gamma_overflow(args, rows):
+    # Gamma(kappa + m/2 + 1) overflows a float from kappa + m/2 = 170
+    res = run(*args.split())
+    assert res.exit_code == 0 and res.exception is None
+    header, *lines = res.output.splitlines()
+    assert len(lines) == rows
+    if "chi" in header:
+        chi = header.split(",").index("chi")
+        assert all(math.isfinite(float(line.split(",")[chi])) for line in lines)
+
+
+def test_degree_165_rows_are_the_direct_form():
+    res = run(*"eigs --m 2 --k 165 --c 1 --count 2".split())
+    assert res.output.splitlines()[1:] == [
+        "0,165,39.241937174416272,0,3.523230085364255e-216,1",
+        "1,165,703.24334576687352,0,6.6301818027003676e-218,2"]
+
+
+def test_verify_at_degree_170_writes_its_table_and_fails():
+    # s^(-nu) overflows in the transform from nu of about 67 (ROADMAP item 4):
+    # numpy warns, the residuals read nan and every row fails, with no traceback
+    res = subprocess.run([sys.executable, "-m", "cliffordprolate.cli", *"verify --m 2 --c 1 "
+                          "--k 170 --nmax 1".split()], env=_process_env(),
+                         capture_output=True, text=True)
+    assert res.returncode == 1
+    header, *lines = res.stdout.splitlines()
+    assert header == "n,k,abs_mu_est,lambda_est,ratio_spread,residual,status"
+    assert len(lines) == 2 and all(line.endswith(",nan,fail") for line in lines)
+    assert "Traceback" not in res.stderr and "RuntimeWarning" in res.stderr
+
+
 def test_accumulate_columns():
     res = run("accumulate", "--m", "2", "--c", "1", "--k", "2", "--n", "2",
               "--points", "5")
@@ -196,38 +286,27 @@ def test_legendre_long_format():
     assert len(lines) == 7
 
 
-# bad inputs that the command reports on one stderr line: (env, args)
+# bad inputs that the command reports on one stderr line
 BAD_INPUTS = {
-    "c-zero": ({}, "radial --n 0 --k 0 --m 2 --c 0"),
-    "k-range-reversed": ({}, "verify --m 2 --c 1 --k 2..0 --nmax 0"),
-    "k-not-integer": ({}, "verify --m 2 --c 1 --k x --nmax 0"),
-    "env-tol-not-number": ({"CPSWF_TOL": "abc"}, "eigs --m 2 --k 0 --c 1 --count 1"),
-    "env-nodes-not-number": ({"CPSWF_NODES": "abc"}, "verify --m 2 --c 1 --k 0 --nmax 0"),
-    "tol-zero": ({}, "radial --n 0 --k 0 --m 2 --c 1 --tol 0"),
-    "tol-negative": ({}, "accumulate --m 2 --c 1 --K 1 --N 1 --tol -1"),
-    "c-inf": ({}, "spectrum --m 2 --kmax 0 --nmax 0 --c inf"),
-    "c-nan": ({}, "eigs --m 2 --k 0 --c nan --count 1"),
-    "env-nodes-too-many": ({"CPSWF_NODES": "10000"}, "verify --m 2 --c 1 --k 0 --nmax 0"),
-    "env-tol-too-loose": ({"CPSWF_TOL": "1e-3"}, "spectrum --m 2 --kmax 0 --nmax 0 --c 1"),
-    "tol-too-loose": ({}, "radial --n 0 --k 0 --m 2 --c 1 --tol 1e-3"),
-    "output-missing-dir": ({}, "eigs --m 2 --k 0 --c 1 --count 1 --output {missing}"),
-    "env-nodes-zero": ({"CPSWF_NODES": "0"}, "verify --m 2 --c 1 --k 0 --nmax 0"),
-    "env-nodes-five": ({"CPSWF_NODES": "5"}, "verify --m 2 --c 1 --k 0 --nmax 0"),
-    "env-nodes-127": ({"CPSWF_NODES": "127"}, "verify --m 2 --c 1 --k 0 --nmax 0"),
-    "eigs-c-negative": ({}, "eigs --m 2 --k 0 --c -1 --count 1"),
-    "threshold-nan": ({}, "verify --m 2 --c 1 --k 0 --nmax 0 --threshold nan"),
-    "threshold-negative": ({}, "verify --m 2 --c 1 --k 0 --nmax 0 --threshold -1"),
-    "threshold-zero": ({}, "verify --m 2 --c 1 --k 0 --nmax 0 --threshold 0"),
-    "threshold-inf": ({}, "verify --m 2 --c 1 --k 0 --nmax 0 --threshold inf"),
+    "c-zero": "radial --n 0 --k 0 --m 2 --c 0",
+    "k-range-reversed": "verify --m 2 --c 1 --k 2..0 --nmax 0",
+    "k-not-integer": "verify --m 2 --c 1 --k x --nmax 0",
+    "tol-zero": "radial --n 0 --k 0 --m 2 --c 1 --tol 0",
+    "tol-negative": "accumulate --m 2 --c 1 --K 1 --N 1 --tol -1",
+    "c-inf": "spectrum --m 2 --kmax 0 --nmax 0 --c inf",
+    "c-nan": "eigs --m 2 --k 0 --c nan --count 1",
+    "tol-too-loose": "radial --n 0 --k 0 --m 2 --c 1 --tol 1e-3",
+    "output-missing-dir": "eigs --m 2 --k 0 --c 1 --count 1 --output {missing}",
+    "eigs-c-negative": "eigs --m 2 --k 0 --c -1 --count 1",
+    "threshold-nan": "verify --m 2 --c 1 --k 0 --nmax 0 --threshold nan",
+    "threshold-negative": "verify --m 2 --c 1 --k 0 --nmax 0 --threshold -1",
+    "threshold-zero": "verify --m 2 --c 1 --k 0 --nmax 0 --threshold 0",
+    "threshold-inf": "verify --m 2 --c 1 --k 0 --nmax 0 --threshold inf",
 }
 
 # the text the Error line must carry, where it names a bound
 ERROR_TEXT = {
     "c-zero": "require c > 0",
-    "env-nodes-too-many": "CPSWF_NODES must be in [128, 4096], got 10000",
-    "env-nodes-zero": "CPSWF_NODES must be in [128, 4096], got 0",
-    "env-nodes-five": "CPSWF_NODES must be in [128, 4096], got 5",
-    "env-nodes-127": "CPSWF_NODES must be in [128, 4096], got 127",
     "eigs-c-negative": "require c >= 0",
     "threshold-nan": "--threshold must be a finite number > 0, got nan",
     "threshold-negative": "--threshold must be a finite number > 0, got -1",
@@ -238,22 +317,14 @@ ERROR_TEXT = {
 
 @pytest.mark.parametrize("case", BAD_INPUTS)
 def test_invalid_arguments_exit_2(tmp_path, case):
-    env, args = BAD_INPUTS[case]
     missing = tmp_path / "missing" / "out.csv"
-    res = CliRunner().invoke(main, args.format(missing=missing).split(), env=env)
+    res = run(*BAD_INPUTS[case].format(missing=missing).split())
     assert res.exit_code == 2
     assert res.stdout == ""
     lines = res.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("Error: ")
     assert ERROR_TEXT.get(case, "") in lines[0]
     assert not missing.parent.exists()
-
-
-def test_nodes_floor_is_accepted():
-    res = CliRunner().invoke(main, "verify --m 2 --c 1 --k 0 --nmax 0".split(),
-                             env={"CPSWF_NODES": "128"})
-    assert res.exit_code == 0
-    assert res.stdout.splitlines()[1].endswith(",pass")
 
 
 @pytest.mark.parametrize("args", [
@@ -334,6 +405,13 @@ def test_lapack_failure_exits_3(monkeypatch):
                           "(info=1)\n")
 
 
+def _process_env() -> dict:
+    """This environment, with the package under test first on PYTHONPATH."""
+    src = str(Path(cliffordprolate.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
 # runs the CLI on argv[1:] (or only imports it) and reports, as the last line
 # of stderr, every scipy module the process loaded
 _SCIPY_MODULES = """
@@ -358,10 +436,7 @@ if sys.argv[1:]:
 def test_cli_process_loads_only_the_scipy_extensions_it_calls(args, code, loaded):
     # every CLI process pays its imports: the scipy.linalg and scipy.special
     # packages cost about 0.35 s each, for one LAPACK pair and one ufunc
-    src = str(Path(cliffordprolate.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    res = subprocess.run([sys.executable, "-c", _SCIPY_MODULES, *args], env=env,
+    res = subprocess.run([sys.executable, "-c", _SCIPY_MODULES, *args], env=_process_env(),
                          capture_output=True, text=True)
     assert res.returncode == code, res.stderr
     assert res.stderr.splitlines()[-1] == f"scipy: {loaded}"

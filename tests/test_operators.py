@@ -1,11 +1,13 @@
 """Operators G_c, QP_c and kernels against brute-force quadrature oracles."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from cliffordprolate import operators
+from cliffordprolate.galerkin import RadialEigenpair
 from cliffordprolate.monogenics import basis
 from cliffordprolate.operators import (
     GRID_POINTS,
@@ -17,6 +19,7 @@ from cliffordprolate.operators import (
 )
 from cliffordprolate.prolate import cpswf_blocks, eval_field_coeffs, make_cpswf
 from cliffordprolate.special import (
+    MAX_NODES,
     QuadratureRule,
     ball_volume,
     chebyshev_grid,
@@ -150,6 +153,88 @@ def test_verify_gc_residual_at_large_c(m, c):
             assert abs(abs(rep.mu_est) - abs(psi.mu)) <= 1e-8 * abs(psi.mu)
 
 
+def test_rule_nodes_law():
+    cs = np.arange(0.0, 3350.5, 0.5)
+    nodes = np.array([operators.rule_nodes(c) for c in cs])
+    assert np.all(nodes[cs <= 150] == 256) and np.all(nodes[cs > 150] > 256)
+    assert np.all(np.diff(nodes) >= 0) and nodes.max() <= MAX_NODES
+    for c in (3350.5, 1e300, math.inf, math.nan):
+        with pytest.raises(ValueError, match=r"verify's quadrature takes c <= 3350 \("):
+            operators.rule_nodes(c)
+
+
+# The grid that fixes rule_nodes' law max(256, ceil(a c) + b): for m = 2, 3
+# and 5 (the tuple), k = 0 and n <= 6, at the default tol, the smallest Gauss
+# node count at which every verify residual is <= max(1e-9, 4 F), F the
+# worst residual at ceil(2c) + 64 nodes (F < 1e-9 but at m = 5 from c = 1000,
+# 1.3e-9), found by _nodes_needed.  a = 1.2 keeps at least 6% above every row,
+# and b = 256 - 150 a keeps 256 nodes up to c = 150.  The rows at k = 5 and
+# 20 were measured too and left out: their residuals have floors above 1e-9
+# that no rule size lowers (ROADMAP item 4).
+NODES_NEEDED = {
+    100.0: (171, 172, 177),
+    150.0: (230, 233, 238),
+    200.0: (286, 289, 296),
+    300.0: (387, 392, 402),
+    400.0: (482, 486, 502),
+    600.0: (652, 668, 686),
+    1000.0: (968, 989, 1009),
+    1500.0: (1326, 1344, 1376),
+}
+
+
+def _worst_residual(orders, nodes: int) -> float:
+    rule = gauss_rule_unit_interval(nodes)
+    return max(max(rep.residual, rep.gc_residual) for rep in (verify(psi, rule=rule)
+                                                              for psi in orders))
+
+
+def _nodes_needed(m: int, c: float, k: int = 0) -> int:
+    """A row of NODES_NEEDED, by bisection between 16 nodes and the reference."""
+    [(_, orders, _)] = cpswf_blocks(m, c, [k], 6)
+    lo, hi = 16, math.ceil(2 * c) + 64
+    bound = max(1e-9, 4 * _worst_residual(orders, hi))
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if _worst_residual(orders, mid) <= bound else (mid, hi)
+    return hi
+
+
+def test_rule_nodes_keeps_above_the_fit_grid():
+    for c, needed in NODES_NEEDED.items():
+        assert operators.rule_nodes(c) >= 1.06 * max(needed), c
+
+
+@pytest.mark.parametrize("m, needed", zip((2, 3, 5), NODES_NEEDED[100.0]))
+def test_fit_grid_row_is_the_bisection(m, needed):
+    # the three cheapest rows; the others take minutes (c = 1500: 3,064 nodes)
+    assert _nodes_needed(m, 100.0) == needed
+    [(_, orders, _)] = cpswf_blocks(m, 100.0, [0], 6)
+    assert _worst_residual(orders, operators.rule_nodes(100.0)) <= 1e-9
+
+
+def test_verify_still_fails_a_perturbed_cpswf_at_large_c():
+    # the rule grows with c, and a change of 1e-8 in any one coefficient
+    # still shows: 9e-12 clean, at least 1.7e-9 perturbed
+    psi = make_cpswf(0, 0, 2, 600.0)
+    rep = verify(psi)
+    assert max(rep.residual, rep.gc_residual) <= 1e-10
+    for i in range(psi._active):
+        coeffs = psi.coeffs.copy()
+        coeffs[i] += 1e-8
+        rep = verify(dataclasses.replace(psi, pair=RadialEigenpair(psi.chi, coeffs)))
+        assert max(rep.residual, rep.gc_residual) > 1e-10, i
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="s^(-nu) times a J_nu(2 pi c r s) that underflows (ROADMAP item 4)")
+def test_verify_passes_at_large_nu():
+    # verify --m 2 --c 1 --k 64 --nmax 0: G_c psi reads 0 on the grid, so
+    # the G_c residual is 1, a false fail
+    rep = verify(make_cpswf(0, 64, 2, 1.0))
+    assert rep.gc_residual <= 1e-6 and rep.residual <= 1e-6
+
+
 def test_verify_gc_residual_is_the_norm_relative_deviation():
     psi = make_cpswf(2, 1, 2, 1.0)
     grid = chebyshev_grid(GRID_POINTS)
@@ -242,7 +327,7 @@ def test_verify_builds_two_matrices_per_nu(monkeypatch):
                                    for size in (GRID_POINTS, 256))
 
 
-def test_matrix_cache_does_not_alias(monkeypatch):
+def test_matrix_cache_does_not_alias():
     psi = make_cpswf(1, 1, 2, 1.0)  # odd: nu = k + m/2, phase i^(k+1)
     nu = 2.0
     rule = gauss_rule_unit_interval(256)
@@ -254,9 +339,9 @@ def test_matrix_cache_does_not_alias(monkeypatch):
         assert np.array_equal(apply_Gc(psi, grid).values, scale * (fresh @ f))
         G, _ = operators._operator_matrices(nu, psi.c, grid, rule)
         assert np.array_equal(G, fresh)
-    monkeypatch.setenv("CPSWF_NODES", "512")
+    # the default rule of c = 363 has 512 nodes
     G, Q = operators._operator_matrices(nu, psi.c, chebyshev_grid(GRID_POINTS),
-                                        operators._default_rule())
+                                        operators._default_rule(363.0))
     assert G.shape == Q.shape == (GRID_POINTS, 512)
     # equal nodes, different weights: T is linear in the weights
     heavy = QuadratureRule(rule.nodes, 2 * rule.weights)

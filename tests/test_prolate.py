@@ -82,6 +82,23 @@ def test_mu_shift_between_parities(m):
             assert abs(abs(odd.mu) - abs(even_up.mu)) < 1e-10
 
 
+@pytest.mark.parametrize("m, k, c", [(2, 169, 1.0), (2, 170, 1.0), (3, 200, 2.0), (2, 120, 400.0)])
+def test_mu_past_the_float_range_of_its_prefactor(m, k, c):
+    # Gamma(kappa + m/2 + 1) overflows from kappa + m/2 = 170, and c^kappa
+    # at (c, kappa) = (400, 121): mu then comes from the prefactor's log,
+    # whose rounding, about |log| eps with |log| up to 500 here, exp turns
+    # into a relative error
+    mp = pytest.importorskip("mpmath")
+    [(_, orders, _)] = cpswf_blocks(m, c, [k], 1)
+    for psi in orders:
+        kappa = k + psi.n % 2
+        pre = (mp.sqrt(2 * kappa + m) * mp.pi ** (kappa + mp.mpf(m) / 2) * mp.mpf(c) ** kappa
+               / mp.gamma(kappa + mp.mpf(m) / 2 + 1))
+        want = abs(pre * psi.coeffs[0] / psi.value_at_zero)
+        assert 0 < want and abs(abs(psi.mu) - want) <= 1e-12 * want
+        assert abs(abs((psi.mu / abs(psi.mu) / 1j ** (k + psi.n)).real) - 1) < 1e-12
+
+
 def test_radial_norm_is_one():
     # the field normalization reduces to
     # int_0^1 R(t(u))^2 u^(w) du = 1 with t = u^2

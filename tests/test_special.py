@@ -1,4 +1,4 @@
-"""Quadrature rules, measures, environment overrides and the scipy extension loader."""
+"""Quadrature rules, measures and the scipy extension loader."""
 
 import math
 import sys
@@ -10,8 +10,6 @@ import pytest
 from cliffordprolate.special import (
     ball_volume,
     chebyshev_grid,
-    default_nodes,
-    default_tol,
     gamma_fn,
     gauss_rule_unit_interval,
     scipy_extension,
@@ -19,25 +17,6 @@ from cliffordprolate.special import (
 )
 
 from oracles import sphere_rule
-
-
-def test_env_overrides(monkeypatch):
-    monkeypatch.setenv("CPSWF_TOL", "1e-8")
-    monkeypatch.setenv("CPSWF_NODES", "512")
-    assert default_tol() == 1e-8
-    assert default_nodes() == 512
-
-
-@pytest.mark.parametrize("name, value, read", [
-    ("CPSWF_TOL", "abc", default_tol),
-    ("CPSWF_TOL", "", default_tol),
-    ("CPSWF_NODES", "abc", default_nodes),
-    ("CPSWF_NODES", "1.5", default_nodes),
-])
-def test_env_overrides_reject_non_numbers(monkeypatch, name, value, read):
-    monkeypatch.setenv(name, value)
-    with pytest.raises(ValueError, match=f"^{name} must be .*, got '{value}'$"):
-        read()
 
 
 def test_gauss_rule_polynomial_exactness():
