@@ -13,6 +13,7 @@ limit because every term is nonnegative.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,7 +48,9 @@ def zonal_trace(m: int, k: int) -> float:
 
 
 def limit_value(m: int, c: float) -> float:
-    """The accumulation limit K_c(0) = c^m |B(1)|."""
+    """The accumulation limit K_c(0) = c^m |B(1)|, for a finite c >= 0."""
+    if not (math.isfinite(c) and c >= 0):
+        raise ValueError(f"c must be finite and >= 0, got {c!r}")
     return float(c ** m * ball_volume(m))
 
 

@@ -31,9 +31,9 @@ import click
 import numpy as np
 
 from .accumulation import limit_value, partial_sum
-from .galerkin import DEFAULT_TOL, ConvergenceError, solve_block
+from .galerkin import DEFAULT_TOL, ConvergenceError
 from .galerkin import solve_radial  # noqa: F401  (kept for the benchmark's span hooks)
-from .legendre import radial_sequence
+from .legendre import c0_eigenvalue, radial_sequence
 from .operators import rule_nodes, verify as op_verify
 from .prolate import cpswf_blocks, eval_field_coeffs, eval_radial, make_cpswf
 
@@ -141,16 +141,15 @@ def _spectral_rows(orders):
 def eigs(m, k, c, count, tol):
     """Differential and operator eigenvalues for orders n = 0..count-1.
 
-    At c = 0 only chi is meaningful; lambda and |mu| are reported as 0.
+    At c = 0 only chi is meaningful, and it is the closed form
+    c0_eigenvalue; lambda and |mu| are reported as 0.
     """
     if c < 0:
         raise ValueError(f"require c >= 0, got {c:g}")
     columns = ["n", "k", "chi", "lambda", "abs_mu", "phase_exponent"]
     if c == 0:
-        even = solve_block("even", k, m, 0.0, (count - 1) // 2, tol)
-        odd = solve_block("odd", k, m, 0.0, (count - 2) // 2, tol) if count > 1 else ()
-        chis = [(odd if n % 2 else even)[n // 2].chi for n in range(count)]
-        return columns, [[n, k, chi, 0.0, 0.0, (n + k) % 4] for n, chi in enumerate(chis)]
+        return columns, [[n, k, c0_eigenvalue(n, m, k), 0.0, 0.0, (n + k) % 4]
+                         for n in range(count)]
     [(_, orders, _)] = cpswf_blocks(m, c, [k], count - 1, tol)
     return columns, [[n, k, chi, lam, abs_mu, (n + k) % 4]
                      for n, (chi, lam, abs_mu) in _spectral_rows(orders)]

@@ -85,7 +85,7 @@ def _check_info(info: int, routine: str) -> None:
         raise ConvergenceError(f"LAPACK {routine} did not converge (info={info})")
 
 
-def eigh_tridiagonal(d, e, *, select_range, select="i", tol=0.0):
+def eigh_tridiagonal(d, e, *, select_range, tol=0.0):
     """Eigenpairs lo..hi (ascending, 0-based) of the symmetric tridiagonal
     matrix with diagonal d and off-diagonal e, for select_range = (lo, hi).
 
@@ -97,8 +97,6 @@ def eigh_tridiagonal(d, e, *, select_range, select="i", tol=0.0):
     from the scipy.linalg package (special.scipy_extension).  A LAPACK info
     < 0 raises ValueError, one > 0 ConvergenceError.
     """
-    if select != "i":
-        raise ValueError(f"only select='i' is supported, got {select!r}")
     d, e = np.asarray_chkfinite(d, dtype=float), np.asarray_chkfinite(e, dtype=float)
     if d.ndim != 1 or e.shape != (d.size - 1,):
         raise ValueError(f"need d of shape (T,) and e of shape (T-1,), got {d.shape}, {e.shape}")
@@ -283,8 +281,7 @@ def _certified_at(mat: SymTridiag, log_p0: np.ndarray, kk: int, m: int, c: float
     # bisection down to the underflow threshold resolves each chi to a
     # few ulps of itself instead of eps * ||M||, so a certified chi does
     # not move with the truncation
-    chi, vecs = eigh_tridiagonal(diag, off, select="i",
-                                 select_range=(0, N_max + 1), tol=_BISECT_TOL)
+    chi, vecs = eigh_tridiagonal(diag, off, select_range=(0, N_max + 1), tol=_BISECT_TOL)
     # Gershgorin: each row i >= T of M has diag_i - |off_(i-1)| - |off_i|
     # >= 4i(kk+i+h) - 4 pi^2 c^2 / (kk+2i+h-2), which grows with i
     g = 4 * T * (kk + T + h) - 4 * math.pi ** 2 * c ** 2 / (kk + 2 * T + h - 2)

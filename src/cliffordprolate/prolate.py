@@ -11,12 +11,13 @@ chi), of the finite Fourier transform G_c (eigenvalue mu, with phase
 i^(k+n) up to a sign convention), and of the time-frequency limiting
 operator QP_c = c^m G_c* G_c (eigenvalue lambda = c^m |mu|^2).
 
-Each (parity, k) Galerkin block gives one record of arrays, CpswfBlock
-(_block_cpswfs): _active, value_at_zero, mu and lambda of all its orders.
-cpswf_blocks yields the orders 0..n_max of each degree k as a CpswfOrders
-over its even and odd records, with their radial factors from one Bonnet
-recurrence per group of degrees; a Cpswf is built only on request, as one
-column of a record, and make_cpswf is the last column of its block's.
+Each (parity, k) Galerkin block gives the columns chi, active,
+value_at_zero, mu and lambda of all its orders at once (_block_cpswfs).
+cpswf_blocks yields the orders 0..n_max of each degree k as one CpswfOrders,
+the columns of its even and odd blocks interleaved in order n, with their
+radial factors from one Bonnet recurrence per group of degrees; a Cpswf is
+built only on request, from one entry of each column, and make_cpswf is the
+last order of its one block.
 eval_field_coeffs evaluates every basis index of a record at one point set
 from one table of the radial factor times the monomials (_field_table), as
 real float64 arrays: every monogenic basis is real, so the field is too.
@@ -41,8 +42,8 @@ from .special import gamma_fn
 
 @dataclass(frozen=True)
 class Cpswf:
-    """One CPSWF: a view of one column of its block's record (CpswfBlock),
-    built on request when a CpswfOrders is indexed or iterated.
+    """One CPSWF: one entry of each column of its degree's CpswfOrders,
+    built on request when the CpswfOrders is indexed or iterated.
 
     lam, the concentration eigenvalue c^m |mu|^2, lies in (0, 1].  Computed,
     it can pass 1 by rounding, in the T-term sum P(0) (or Q(0)) and in the
@@ -94,82 +95,46 @@ def _check_t(t: np.ndarray) -> None:
 
 
 @dataclass(frozen=True, eq=False)
-class CpswfBlock:
-    """The CPSWFs of one (parity, k) Galerkin block, orders n = 2N + odd,
-    as read-only arrays over N = 0..N_max: active, value_at_zero, mu, lam,
-    and chi from the block itself.  record[N] builds the Cpswf of column N."""
+class CpswfOrders:
+    """The orders n = 0..n_max of one degree k.  Order 2N + odd is column N
+    of blocks[odd], the even or odd RadialEigenpair, whose radial basis at
+    t = 0 is zeros[odd]; chi, active, value_at_zero, mu and lam are
+    read-only arrays in order n, built once.  Indexing builds a Cpswf."""
 
-    block: RadialEigenpair
-    basis_at_zero: np.ndarray
-    odd: int
     k: int
     m: int
     c: float
+    blocks: tuple  # (even,) or (even, odd) RadialEigenpair blocks
+    zeros: tuple
+    chi: np.ndarray
     active: np.ndarray
     value_at_zero: np.ndarray
     mu: np.ndarray
     lam: np.ndarray
 
-    def __post_init__(self):
-        for column in (self.basis_at_zero, self.active, self.value_at_zero, self.mu, self.lam):
-            column.setflags(write=False)
-
-    @property
-    def chi(self) -> np.ndarray:
-        return self.block.chi
-
-    def __getitem__(self, N: int) -> Cpswf:
-        N = range(self.lam.size)[N]
-        return Cpswf(2 * N + self.odd, self.k, self.m, self.c, self.block[N], self.basis_at_zero,
-                     int(self.active[N]), float(self.value_at_zero[N]),
-                     complex(self.mu[N]), float(self.lam[N]))
-
-
-@dataclass(frozen=True, eq=False)
-class CpswfOrders:
-    """The orders n = 0..n_max of one degree: order 2N is column N of the
-    even block's record and order 2N + 1 column N of the odd one's.
-
-    chi, active, value_at_zero, mu and lam are read-only arrays of shape
-    (n_max+1,) in order n.  Indexing or iterating builds the Cpswf records
-    on request.
-    """
-
-    blocks: tuple  # (even,) or (even, odd) CpswfBlock records
-    n_max: int
-
-    def _column(self, name: str) -> np.ndarray:
-        out = np.empty(self.n_max + 1, dtype=getattr(self.blocks[0], name).dtype)
-        for odd, record in enumerate(self.blocks):
-            out[odd::2] = getattr(record, name)[:(self.n_max + 2 - odd) // 2]
-        out.setflags(write=False)
-        return out
-
-    chi = property(lambda self: self._column("chi"))
-    active = property(lambda self: self._column("active"))
-    value_at_zero = property(lambda self: self._column("value_at_zero"))
-    mu = property(lambda self: self._column("mu"))
-    lam = property(lambda self: self._column("lam"))
-
     def __len__(self) -> int:
-        return self.n_max + 1
+        return self.lam.size
 
     def __getitem__(self, n):
         if isinstance(n, slice):
             return [self[i] for i in range(len(self))[n]]
         n = range(len(self))[n]
-        return self.blocks[n % 2][n // 2]
+        return Cpswf(n, self.k, self.m, self.c, self.blocks[n % 2][n // 2], self.zeros[n % 2],
+                     int(self.active[n]), float(self.value_at_zero[n]),
+                     complex(self.mu[n]), float(self.lam[n]))
 
     def __iter__(self):
         return (self[n] for n in range(len(self)))
 
 
 def _block_cpswfs(block: RadialEigenpair, zero: np.ndarray, odd: int,
-                  k: int, m: int, c: float) -> CpswfBlock:
-    """The record of orders n = 2N + odd of one parity block, from its
-    radial basis at t = 0, p_i(0) (even) or q_i(0) (odd).
+                  k: int, m: int, c: float) -> tuple:
+    """The columns of orders n = 2N + odd of one parity block, from its
+    radial basis at t = 0, p_i(0) (even) or q_i(0) (odd): a read-only copy
+    of that basis cut to the block's truncation, then chi, active,
+    value_at_zero, mu and lam, each an array over N = 0..N_max.
 
-    _active counts the leading coefficients that matter: on [0, 1],
+    active counts the leading coefficients that matter: on [0, 1],
     |alpha_i p_i(t)| peaks at t = 0, and terms below 1e-16 of the largest
     such bound are dropped.  A cut on |alpha_i| alone would move P(0), as
     p_i(0) grows like i^(k+m/2-1/2).  value_at_zero is P(0) or Q(0).
@@ -181,6 +146,7 @@ def _block_cpswfs(block: RadialEigenpair, zero: np.ndarray, odd: int,
     Every column equals its order's own Python scalar formulas to the bit.
     """
     zero = np.array(zero[:block.truncation])  # BLAS rounds a strided dot differently
+    zero.setflags(write=False)
     bound = np.abs(block.coeffs * zero[:, None])
     keep = bound > 1e-16 * bound.max(axis=0)
     active = block.truncation - np.argmax(keep[::-1], axis=0)
@@ -205,7 +171,7 @@ def _block_cpswfs(block: RadialEigenpair, zero: np.ndarray, odd: int,
     # Python's abs and ** call libm hypot and pow, as np.hypot and
     # np.float_power do; np.abs and ** 2 round differently
     lam = c ** m * np.float_power(np.hypot(mu.real, mu.imag), 2.0)
-    return CpswfBlock(block, zero, odd, k, m, c, active, at_zero, mu, lam)
+    return zero, block.chi, active, at_zero, mu, lam
 
 
 def _check_order(n: int, ks: list, c: float) -> None:
@@ -217,11 +183,13 @@ def _check_order(n: int, ks: list, c: float) -> None:
 
 
 def make_cpswf(n: int, k: int, m: int, c: float, tol: float | None = None) -> Cpswf:
-    """The order-n CPSWF: the last column of its one-parity block's record."""
+    """The order-n CPSWF: the last order of its one-parity block."""
     _check_order(n, [k], c)
     block = solve_block("even" if n % 2 == 0 else "odd", k, m, c, n // 2, tol)
     zero = radial_values(k, m, block.truncation - 1, 0.0)[n % 2]  # p_i(0) or q_i(0), shape (T,)
-    return _block_cpswfs(block, zero, n % 2, k, m, float(c))[-1]
+    zero, _, active, at_zero, mu, lam = _block_cpswfs(block, zero, n % 2, k, m, float(c))
+    return Cpswf(n, k, m, float(c), block[-1], zero, int(active[-1]), float(at_zero[-1]),
+                 complex(mu[-1]), float(lam[-1]))
 
 
 # degrees per Bonnet recurrence in cpswf_blocks.  A group's tables hold
@@ -274,16 +242,20 @@ def _degree_orders(blocks: list, tables: list, k: int, m: int, c: float, n_max: 
     """The orders 0..n_max of degree k and their radial factors, of shape
     (n_max+1,) + shape, from its even (and odd) block and the block's radial
     basis table, whose first column is at t = 0 and the rest at the points."""
-    records = tuple(_block_cpswfs(b, table[:, 0], odd, k, m, c)
-                    for odd, (b, table) in enumerate(zip(blocks, tables)))
+    zeros, *columns = zip(*(_block_cpswfs(b, table[:, 0], odd, k, m, c)
+                            for odd, (b, table) in enumerate(zip(blocks, tables))))
     values = np.empty((n_max + 1, tables[0].shape[1] - 1))
-    for odd, (record, table) in enumerate(zip(records, tables)):
-        T, count = record.block.truncation, (n_max + 2 - odd) // 2
+    for odd, (b, table, active) in enumerate(zip(blocks, tables, columns[1])):
+        T, count = b.truncation, (n_max + 2 - odd) // 2
         # coefficients past each order's active length count as 0
-        cz = np.where(np.arange(T)[:, None] < record.active[:count],
-                      record.block.coeffs[:, :count], 0.0)
+        cz = np.where(np.arange(T)[:, None] < active[:count], b.coeffs[:, :count], 0.0)
         values[odd::2] = cz.T @ table[:T, 1:]
-    return CpswfOrders(records, n_max), values.reshape((n_max + 1,) + shape)
+    # in order n: both blocks hold N = 0..n_max//2; order 2N + odd is [N, odd]
+    ordered = [np.array(parts).ravel("F")[:n_max + 1] for parts in columns]
+    for column in ordered:
+        column.setflags(write=False)
+    orders = CpswfOrders(k, m, c, tuple(blocks), zeros, *ordered)
+    return orders, values.reshape((n_max + 1,) + shape)
 
 
 def eval_radial(psi: Cpswf, r) -> np.ndarray:
@@ -353,5 +325,10 @@ def eval_field_coeffs(psi: Cpswf, i: int, x: np.ndarray) -> np.ndarray:
 
 
 def eval_field(psi: Cpswf, i: int, x) -> Multivector:
-    """Field value P(|x|^2) Y_k^i(x) or x Q(|x|^2) Y_k^i(x) as a Multivector."""
-    return Multivector(psi.m, eval_field_coeffs(psi, i, np.asarray(x, dtype=float)))
+    """Field value P(|x|^2) Y_k^i(x) or x Q(|x|^2) Y_k^i(x) as a Multivector,
+    at one point x of shape (m,); eval_field_coeffs takes many points."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim > 1 and x.shape[-1] == psi.m:  # eval_field_coeffs rejects the other shapes
+        raise ValueError(f"eval_field takes one point of shape ({psi.m},), got {x.shape}; "
+                         "use eval_field_coeffs for many points")
+    return Multivector(psi.m, eval_field_coeffs(psi, i, x))

@@ -84,8 +84,8 @@ def sphere_area(m: int) -> float:
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Read-only quadrature nodes and positive weights; the package's rules
-    are on [0, 1] (gauss_rule_unit_interval)."""
+    """Read-only quadrature nodes in [0, 1] and positive weights, 1-D arrays
+    of one nonzero length (gauss_rule_unit_interval); ValueError otherwise."""
 
     nodes: np.ndarray
     weights: np.ndarray
@@ -93,6 +93,13 @@ class QuadratureRule:
     def __post_init__(self):
         object.__setattr__(self, "nodes", np.asarray(self.nodes, dtype=float))
         object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float))
+        if self.nodes.ndim != 1 or self.nodes.size == 0 or self.weights.shape != self.nodes.shape:
+            raise ValueError("nodes and weights must be 1-D arrays of one nonzero length, "
+                             f"got shapes {self.nodes.shape} and {self.weights.shape}")
+        if not np.all((0 <= self.nodes) & (self.nodes <= 1)):
+            raise ValueError("quadrature nodes must be finite and lie in [0, 1]")
+        if not np.all((0 < self.weights) & (self.weights < np.inf)):
+            raise ValueError("quadrature weights must be finite and > 0")
         self.nodes.setflags(write=False)
         self.weights.setflags(write=False)
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from typing import NamedTuple
 
 import mpmath as mp
 import numpy as np
@@ -473,8 +474,22 @@ def Mc_kernel(r: float, s: float, c: float, k: int, m: int) -> float:
     return float(2 * math.pi * c * num / (a ** 2 - b ** 2))
 
 
+class SphereRule(NamedTuple):
+    """Nodes (p, m) on S^(m-1) and their weights (p,): not a QuadratureRule,
+    whose nodes lie in [0, 1]."""
+
+    nodes: np.ndarray
+    weights: np.ndarray
+
+
+def _read_only_rule(nodes: np.ndarray, weights: np.ndarray) -> SphereRule:
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return SphereRule(nodes, weights)
+
+
 @lru_cache(maxsize=64)
-def sphere_rule(m: int, order: int) -> QuadratureRule:
+def sphere_rule(m: int, order: int) -> SphereRule:
     """Quadrature on S^(m-1) for m in {2, 3}.
 
     m=2: uniform trapezoid on the circle, exact for trigonometric degree
@@ -488,7 +503,7 @@ def sphere_rule(m: int, order: int) -> QuadratureRule:
         theta = 2 * np.pi * np.arange(p) / p
         nodes = np.column_stack([np.cos(theta), np.sin(theta)])
         weights = np.full(p, 2 * np.pi / p)
-        return QuadratureRule(nodes, weights)
+        return _read_only_rule(nodes, weights)
     if m == 3:
         nz = max(order // 2 + 1, 2)
         z, wz = np.polynomial.legendre.leggauss(nz)
@@ -503,12 +518,12 @@ def sphere_rule(m: int, order: int) -> QuadratureRule:
             nodes[sl, 1] = s[i] * np.sin(phi)
             nodes[sl, 2] = z[i]
             weights[sl] = wz[i] * 2 * np.pi / nphi
-        return QuadratureRule(nodes, weights)
+        return _read_only_rule(nodes, weights)
     raise ValueError(f"sphere_rule supports m in {{2, 3}}, got {m}")
 
 
 def _sphere_clifford_inner(y: PolyMultivector, z: PolyMultivector,
-                           rule: QuadratureRule) -> np.ndarray:
+                           rule: SphereRule) -> np.ndarray:
     """C_m-valued inner product int_S conj(Y(w)) Z(w) dw as a raw array."""
     m = y.m
     yv = y.evaluate_coeffs(rule.nodes)
@@ -517,7 +532,7 @@ def _sphere_clifford_inner(y: PolyMultivector, z: PolyMultivector,
     return np.tensordot(rule.weights, prod, axes=(0, 0))
 
 
-def _angular_vectors(psi: Cpswf, i: int, sphere: QuadratureRule) -> np.ndarray:
+def _angular_vectors(psi: Cpswf, i: int, sphere: SphereRule) -> np.ndarray:
     """Values of the angular factor (Y_k^i or w Y_k^i) on sphere nodes."""
     ang = basis(psi.m, psi.k).elements[i - 1].evaluate_coeffs(sphere.nodes)
     if psi.parity == "odd":

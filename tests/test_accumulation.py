@@ -22,6 +22,17 @@ def test_limit_values():
     assert abs(limit_value(3, 1.0) - 4 * math.pi / 3) < 1e-14
 
 
+@pytest.mark.parametrize("m, c", [(3, -1.0), (2, -2.0), (2, math.nan), (2, math.inf),
+                                  (3, -math.inf)])
+def test_limit_value_rejects_c_that_is_not_finite_and_nonnegative(m, c):
+    with pytest.raises(ValueError, match="c must be finite and >= 0"):
+        limit_value(m, c)
+
+
+def test_limit_value_at_c_zero_is_zero():
+    assert limit_value(3, 0.0) == 0.0
+
+
 def test_partial_sum_matches_direct_field_sum():
     m, c, K, N = 2, 1.0, 2, 2
     r = 0.6

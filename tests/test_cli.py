@@ -347,7 +347,6 @@ def test_option_parser_rejects_out_of_range(args):
 # every command that solves, with the library entry point it reaches
 SOLVING = [
     "eigs --m 2 --k 0 --c 1 --count 1",
-    "eigs --m 2 --k 0 --c 0 --count 1",
     "spectrum --m 2 --kmax 0 --nmax 0 --c 1",
     "radial --n 0 --k 0 --m 2 --c 1",
     "field --n 0 --k 0 --m 2 --c 1 --grid 3",
@@ -356,20 +355,38 @@ SOLVING = [
 ]
 
 
-def test_convergence_failure_exit_3(monkeypatch):
+def _solvers_raise(monkeypatch):
+    """Make every library entry point the CLI solves through raise."""
     import cliffordprolate.cli as cli_mod
     from cliffordprolate.galerkin import ConvergenceError
 
     def boom(*a, **kw):
         raise ConvergenceError("forced")
 
-    for name in ("make_cpswf", "partial_sum", "solve_radial", "cpswf_blocks", "solve_block"):
+    for name in ("make_cpswf", "partial_sum", "solve_radial", "cpswf_blocks"):
         monkeypatch.setattr(cli_mod, name, boom)
+
+
+def test_convergence_failure_exit_3(monkeypatch):
+    _solvers_raise(monkeypatch)
     for args in SOLVING:
         res = run(*args.split())
         assert res.exit_code == 3, args
         assert res.stdout == ""
         assert res.stderr == "Error: convergence failure: forced\n"
+
+
+def test_eigs_at_c_zero_reads_the_closed_form(monkeypatch):
+    # c = 0 solves nothing, so no truncation cap limits --count
+    _solvers_raise(monkeypatch)
+    res = run(*"eigs --m 2 --k 0 --c 0 --count 1".split())
+    assert res.exit_code == 0 and res.output.count("\n") == 2
+    res = run(*"eigs --m 2 --k 0 --c 0 --count 9000".split())
+    assert res.exit_code == 0
+    rows = [line.split(",") for line in res.output.splitlines()[1:]]
+    assert [int(r[0]) for r in rows] == list(range(9000))
+    assert [float(r[2]) for r in rows] == [cliffordprolate.c0_eigenvalue(n, 2, 0)
+                                           for n in range(9000)]
 
 
 def test_stdout_stays_open(capsys):

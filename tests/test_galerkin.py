@@ -226,7 +226,7 @@ def _count_eigensolves(monkeypatch, alter=None):
     calls = []
 
     def counting(*a, **kw):
-        chi, vecs = eigh_tridiagonal(*a, **kw)
+        chi, vecs = eigh_tridiagonal(*a, select="i", **kw)
         calls.append(len(a[0]))
         return alter(len(calls), chi, vecs) if alter else (chi, vecs)
 
@@ -518,9 +518,10 @@ def test_eigensolve_is_scipys_bit_for_bit(monkeypatch, fresh_loader, path):
                     T0 = _T0(k, m, c, N)
                     for T in (T0, 2 * T0):
                         mat = build(k, m, c, T)
-                        kw = dict(select="i", select_range=(0, N + 1), tol=_BISECT_TOL)
+                        kw = dict(select_range=(0, N + 1), tol=_BISECT_TOL)
                         chi, vecs = galerkin.eigh_tridiagonal(mat.diag, mat.offdiag, **kw)
-                        ref_chi, ref_vecs = eigh_tridiagonal(mat.diag, mat.offdiag, **kw)
+                        ref_chi, ref_vecs = eigh_tridiagonal(mat.diag, mat.offdiag, select="i",
+                                                             **kw)
                         assert np.array_equal(chi, ref_chi) and np.array_equal(vecs, ref_vecs)
     lapack = special.scipy_extension("linalg._flapack", ("dstebz", "dstein"),
                                      "scipy.linalg.lapack")
@@ -535,10 +536,10 @@ def test_eigensolve_rejects_non_finite_or_misshapen_entries():
     diag = mat.diag.copy()
     diag[3] = math.nan
     with pytest.raises(ValueError, match="infs or NaNs"):
-        galerkin.eigh_tridiagonal(diag, mat.offdiag, select="i", select_range=(0, 2))
+        galerkin.eigh_tridiagonal(diag, mat.offdiag, select_range=(0, 2))
     for d, e in [(mat.diag, mat.diag), (mat.diag[:, None], mat.offdiag)]:
         with pytest.raises(ValueError, match="need d of shape"):
-            galerkin.eigh_tridiagonal(d, e, select="i", select_range=(0, 2))
+            galerkin.eigh_tridiagonal(d, e, select_range=(0, 2))
 
 
 def test_lapack_info_is_an_error(monkeypatch):
@@ -549,7 +550,7 @@ def test_lapack_info_is_an_error(monkeypatch):
     mat = build(0, 2, 1.0, 20)
     # a real info < 0: dstebz rejects an index range past the matrix
     with pytest.raises(ValueError, match="illegal value in argument 7 of LAPACK dstebz"):
-        galerkin.eigh_tridiagonal(mat.diag, mat.offdiag, select="i", select_range=(0, 20))
+        galerkin.eigh_tridiagonal(mat.diag, mat.offdiag, select_range=(0, 20))
     lapack = galerkin.scipy_extension("linalg._flapack", ("dstebz", "dstein"),
                                       "scipy.linalg.lapack")
 
@@ -568,7 +569,7 @@ def test_lapack_info_is_an_error(monkeypatch):
                                  ((0, 2), ConvergenceError, "dstein")]:
         monkeypatch.setattr(galerkin, "scipy_extension", lambda *a, info=info: fake(*info))
         with pytest.raises(error, match=f"LAPACK {routine}"):
-            galerkin.eigh_tridiagonal(mat.diag, mat.offdiag, select="i", select_range=(0, 2))
+            galerkin.eigh_tridiagonal(mat.diag, mat.offdiag, select_range=(0, 2))
         # a solve never turns a LAPACK failure into a result
         with pytest.raises(error, match=f"LAPACK {routine}"):
             solve_block("even", 0, 2, 1.0, 1)

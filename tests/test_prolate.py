@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from cliffordprolate.accumulation import partial_sum
 from cliffordprolate.algebra import Multivector, embed
-from cliffordprolate.galerkin import solve_block
+from cliffordprolate.galerkin import RadialEigenpair, solve_block
 from cliffordprolate.legendre import radial_values
 from cliffordprolate import prolate
 from cliffordprolate.monogenics import PolyMultivector, basis, dim_monogenic
@@ -227,6 +227,15 @@ def test_field_rejects_points_of_the_wrong_dimension(n, shape):
         eval_field_coeffs(psi, 1, x)
     with pytest.raises(ValueError, match=r"points must have shape \(\.\.\., 3\)"):
         eval_field(psi, 1, x)
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (1, 3), (4, 2, 3)])
+def test_field_takes_one_point_and_names_the_many_point_route(shape):
+    psi = make_cpswf(0, 1, 3, 1.0)
+    x = np.zeros(shape)
+    with pytest.raises(ValueError, match=r"one point of shape \(3,\).*eval_field_coeffs"):
+        eval_field(psi, 1, x)
+    assert eval_field_coeffs(psi, 1, x).shape == shape[:-1] + (8,)
 
 
 def _field_reference(psi, i, x):
@@ -464,11 +473,12 @@ def test_make_cpswf_reads_p_at_zero_like_the_array_route():
                     T = psi.pair.truncation
                     zero = radial_values(k, m, T - 1, np.zeros(1))[n % 2][:, 0]
                     block = solve_block(psi.parity, k, m, c, n // 2)
-                    ref = prolate._block_cpswfs(block, zero, n % 2, k, m, c)[-1]
+                    ref_zero, chi, active, value, mu, lam = prolate._block_cpswfs(
+                        block, zero, n % 2, k, m, c)
                     assert _bits(psi.chi, psi.mu, psi.lam, psi.value_at_zero) == _bits(
-                        ref.chi, ref.mu, ref.lam, ref.value_at_zero)
-                    assert psi._active == ref._active
-                    assert psi.basis_at_zero.tobytes() == ref.basis_at_zero.tobytes()
+                        chi[-1], mu[-1], lam[-1], value[-1])
+                    assert psi._active == active[-1]
+                    assert psi.basis_at_zero.tobytes() == ref_zero.tobytes()
 
 
 def test_orders_of_a_block_share_one_read_only_basis_at_zero():
@@ -551,6 +561,7 @@ def test_grouped_degrees_equal_one_degree_at_a_time(ks, n_max, one_shot):
     for k, orders, values in run:
         [(_, alone, alone_values)] = cpswf_blocks(m, c, [k], n_max, t=t)
         assert len(orders) == n_max + 1 and len(orders.blocks) == min(n_max + 1, 2)
+        assert all(isinstance(block, RadialEigenpair) for block in orders.blocks)
         for psi, one in zip(orders, alone):
             assert (psi.n, psi.k, psi._active) == (one.n, one.k, one._active)
             assert _bits(psi.chi, psi.value_at_zero, psi.mu, psi.lam) == _bits(
@@ -579,10 +590,22 @@ def test_orders_expose_read_only_arrays_in_order_n():
     assert orders[-1].n == 6 and [psi.n for psi in orders[1::3]] == [1, 4]
     with pytest.raises(IndexError):
         orders[7]
-    for record in orders.blocks:
-        for column in (record.active, record.value_at_zero, record.mu, record.lam):
+    # every array the record holds is read-only: its blocks and zero tables too
+    assert all(isinstance(block, RadialEigenpair) for block in orders.blocks)
+    for block, zero in zip(orders.blocks, orders.zeros):
+        for column in (block.chi, block.coeffs, zero):
             with pytest.raises(ValueError):
                 column[0] = 0
+
+
+@pytest.mark.parametrize("n_max", [0, 1, 6])
+def test_orders_store_their_columns(n_max):
+    # the n-ordered columns are built once, with the record, not on each read
+    [(k, orders, _)] = cpswf_blocks(3, 4.0, [2], n_max)
+    assert (orders.k, orders.m, orders.c, len(orders)) == (k, 3, 4.0, n_max + 1)
+    assert len(orders.blocks) == len(orders.zeros) == min(n_max + 1, 2)
+    for name in ("chi", "active", "value_at_zero", "mu", "lam"):
+        assert getattr(orders, name) is getattr(orders, name), name
 
 
 @pytest.mark.parametrize("m, c, k, n_max", [(3, 4.0, 17, 9), (3, 4.0, 18, 9), (3, 0.5, 11, 21)])

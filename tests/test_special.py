@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from cliffordprolate.special import (
+    QuadratureRule,
     ball_volume,
     chebyshev_grid,
     gamma_fn,
@@ -24,6 +25,33 @@ def test_gauss_rule_polynomial_exactness():
     # degree 15 monomial is integrated exactly by 8-point Gauss
     assert abs(np.dot(rule.weights, rule.nodes ** 15) - 1.0 / 16) < 1e-15
     assert abs(np.sum(rule.weights) - 1.0) < 1e-15
+
+
+BAD_RULES = {
+    "node-below-0": ([-0.5, 0.5], [0.5, 0.5], "nodes must be finite and lie in"),
+    "node-above-1": ([0.5, 1.5], [0.5, 0.5], "nodes must be finite and lie in"),
+    "nan-node": ([0.5, math.nan], [0.5, 0.5], "nodes must be finite and lie in"),
+    "inf-node": ([0.5, math.inf], [0.5, 0.5], "nodes must be finite and lie in"),
+    "unequal-lengths": ([0.25, 0.75], [1.0], "1-D arrays of one nonzero length"),
+    "2-d-nodes": ([[0.25, 0.75]], [[0.5, 0.5]], "1-D arrays of one nonzero length"),
+    "scalar": (0.5, 1.0, "1-D arrays of one nonzero length"),
+    "empty": ([], [], "1-D arrays of one nonzero length"),
+    "zero-weight": ([0.25, 0.75], [1.0, 0.0], "weights must be finite and > 0"),
+    "negative-weight": ([0.25, 0.75], [1.5, -0.5], "weights must be finite and > 0"),
+    "nan-weight": ([0.25, 0.75], [0.5, math.nan], "weights must be finite and > 0"),
+    "inf-weight": ([0.25, 0.75], [0.5, math.inf], "weights must be finite and > 0"),
+}
+
+
+@pytest.mark.parametrize("nodes, weights, message", BAD_RULES.values(), ids=BAD_RULES.keys())
+def test_quadrature_rule_checks_its_arrays(nodes, weights, message):
+    with pytest.raises(ValueError, match=message):
+        QuadratureRule(nodes, weights)
+
+
+def test_quadrature_rule_accepts_its_end_points():
+    rule = QuadratureRule([0.0, 1.0], [0.5, 0.5])
+    assert rule.nodes.tolist() == [0.0, 1.0] and not rule.nodes.flags.writeable
 
 
 def test_gamma_matches_math():
