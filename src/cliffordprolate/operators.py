@@ -8,11 +8,18 @@ k + m/2 (odd):
     T[f](s) = s^(-nu) int_0^1 r^(nu+1) f(r) J_nu(2 pi c r s) dr
 
 with G_c profile = i^(k or k+1) 2 pi c^(1-m/2) T[f] multiplying the solid
-angular factor.  QP_c = c^m G_c* G_c has radial action 4 pi^2 c^2 T[T[f]].
-All constants here are fixed against brute-force quadrature of the
-defining integrals (the closed forms in circulation carry typos); see the
-operator test oracles, which also hold the symmetric kernel M_c(r, s) of
-T[T[.]] and the full-ball Gram quadrature.
+angular factor.  QP_c = c^m G_c* G_c has radial action 4 pi^2 c^2 T[T[f]],
+and the inner integral of T[T[f]] is Lommel's,
+L(a, b) = int_0^1 rho J_nu(a rho) J_nu(b rho) d rho, in closed form:
+
+    T[T[f]](s) = s^(-nu) int_0^1 r^(nu+1) f(r) L(2 pi c s, 2 pi c r) dr
+
+so both profiles take one quadrature over the same rule.  All constants
+here are fixed against brute-force quadrature of the defining integrals
+(the closed forms in circulation carry typos); see the operator test
+oracles, which also hold the symmetric kernel M_c(r, s) of T[T[.]], the
+QP_c matrix by quadrature and in multiprecision, and the full-ball Gram
+quadrature.
 """
 
 from __future__ import annotations
@@ -147,13 +154,68 @@ def transform_matrix(nu: float, c: float, targets: np.ndarray,
     return (s ** (-nu))[:, None] * bes * (rule.weights * r ** (nu + 1))[None, :]
 
 
+# Terms of the near-diagonal series of the Lommel kernel.  It replaces the
+# cross form below the offset u = kappa |b - a| at which the series'
+# truncation bound u^P / (P + 1)! meets the cross form's rounding bound
+# eps / u, u^(P + 2) = eps (P + 1)!: 0.87 at P = 16.
+_LOMMEL_TERMS = 16
+_LOMMEL_CUTOFF = ((np.finfo(float).eps * math.factorial(_LOMMEL_TERMS + 1))
+                  ** (1 / (_LOMMEL_TERMS + 2)))
+
+
+def _lommel_near(nu: float, a: np.ndarray, h: np.ndarray, j0: np.ndarray,
+                 j1: np.ndarray) -> np.ndarray:
+    """L(a, a + h) from its Taylor series in h, with j0 = J_nu(a) and
+    j1 = J_(nu+1)(a); h = 0 gives the diagonal
+    (J_nu^2 + J_(nu+1)^2)/2 - (nu/a) J_nu J_(nu+1).
+
+    The Taylor coefficients y_p of y = (J_nu, J_(nu+1)) at a follow from
+    x y' = diag(nu, -nu-1) y + x C y, with C (u, v) = (-v, u):
+    a (p+1) y_(p+1) = diag(nu - p, -nu-1-p) y_p + a C y_p + C y_(p-1).
+    The numerator of the cross form, a j1 J_nu(a+h) - (a+h) j0 J_(nu+1)(a+h),
+    vanishes at h = 0; its p-th term over h is
+    (a j1 y_p[0] - j0 (a y_p[1] + y_(p-1)[1])) h^(p-1).  The loop carries
+    y_p h^(p-1) and y_(p-1) h^(p-1), which stay finite however small a is."""
+    y0, y1 = (nu * j0 - a * j1) / a, j0 - (nu + 1) * j1 / a
+    z0, z1 = j0, j1
+    total = np.zeros_like(a)
+    for p in range(1, _LOMMEL_TERMS + 1):
+        total += a * j1 * y0 - j0 * (a * y1 + z1)
+        y0, y1, z0, z1 = (h * ((nu - p) * y0 - a * y1 - z1) / (a * (p + 1)),
+                          h * (a * y0 + z0 - (nu + 1 + p) * y1) / (a * (p + 1)), h * y0, h * y1)
+    return -total / (2 * a + h)
+
+
+def _lommel(nu: float, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """L(a_i, b_j) = int_0^1 rho J_nu(a_i rho) J_nu(b_j rho) d rho for a > 0 and
+    b >= 0, from four J vectors (Lommel's integral; Watson, Bessel Functions,
+    section 5.11):
+    [a J_(nu+1)(a) J_nu(b) - b J_nu(a) J_(nu+1)(b)] / (a^2 - b^2), with
+    _lommel_near where b is within _LOMMEL_CUTOFF / kappa of a, kappa =
+    1 + 2 (nu + 1)/a bounding the log-derivative of (J_nu, J_(nu+1)) there."""
+    jv = _jv()
+    ja0, ja1, jb0, jb1 = jv(nu, a), jv(nu + 1, a), jv(nu, b), jv(nu + 1, b)
+    A, B = a[:, None], b[None, :]
+    # numerator and denominator over max(a, b)^2, which keeps both from
+    # underflowing at tiny c
+    M = np.maximum(A, B)
+    num = (A / M) * (ja1[:, None] / M) * jb0 - (B / M) * ja0[:, None] * (jb1 / M)
+    near = (1 + 2 * (nu + 1) / A) * np.abs(B - A) < _LOMMEL_CUTOFF
+    L = np.divide(num, ((A - B) / M) * ((A + B) / M), out=np.zeros_like(num), where=~near)
+    i, j = np.nonzero(near)
+    L[i, j] = _lommel_near(nu, a[i], b[j] - a[i], ja0[i], ja1[i])
+    return L
+
+
 @lru_cache(maxsize=MATRIX_CACHE_ENTRIES)
 def _cached_matrices(nu: float, c: float, grid: bytes, nodes: bytes,
                      weights: bytes) -> tuple[np.ndarray, np.ndarray]:
     rule = QuadratureRule(np.frombuffer(nodes), np.frombuffer(weights))
-    G = transform_matrix(nu, c, np.frombuffer(grid), rule)
-    # the n x n node-to-node matrix lives only for this product
-    Q = G @ transform_matrix(nu, c, rule.nodes, rule)
+    s, r = np.frombuffer(grid), rule.nodes
+    G = transform_matrix(nu, c, s, rule)
+    # T[T[f]] with its inner integral in closed form (module docstring)
+    Q = ((s ** (-nu))[:, None] * _lommel(nu, 2 * math.pi * c * s, 2 * math.pi * c * r)
+         * (rule.weights * r ** (nu + 1))[None, :])
     G.setflags(write=False)
     Q.setflags(write=False)
     return G, Q
@@ -172,10 +234,11 @@ def _operator_matrices(nu: float, c: float, grid: np.ndarray,
     default 64-point grid and 256 nodes (the default rule up to c = 150),
     4 MiB at MAX_NODES = 4096 (c = 3350), so about 65 MiB for a full cache
     of MATRIX_CACHE_ENTRIES entries at MAX_NODES.  A longer caller grid
-    grows an entry in proportion.  Building an entry also makes the n x n
-    node-to-node matrix and transform_matrix's temporaries of that size,
-    128 MiB each at MAX_NODES: `verify --m 2 --c 3350 --k 0 --nmax 0`
-    peaks at 427 MiB RSS, against 40 MiB at c = 1.
+    grows an entry in proportion.  Building an entry takes J at
+    len(grid) * n points for G and at 2 (len(grid) + n) for Q's Lommel
+    kernel, with temporaries of the entry's size only:
+    `verify --m 2 --c 3350 --k 0 --nmax 0` peaks at 294 MiB RSS, most of it
+    numpy's leggauss building the 4096-node rule.
     """
     return _cached_matrices(float(nu), float(c), grid.tobytes(),
                             rule.nodes.tobytes(), rule.weights.tobytes())

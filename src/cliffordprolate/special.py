@@ -85,14 +85,15 @@ def sphere_area(m: int) -> float:
 @dataclass(frozen=True)
 class QuadratureRule:
     """Read-only quadrature nodes in [0, 1] and positive weights, 1-D arrays
-    of one nonzero length (gauss_rule_unit_interval); ValueError otherwise."""
+    of one nonzero length (gauss_rule_unit_interval); ValueError otherwise.
+    The rule keeps its own copies, so the caller's arrays stay as they were."""
 
     nodes: np.ndarray
     weights: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "nodes", np.asarray(self.nodes, dtype=float))
-        object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float))
+        object.__setattr__(self, "nodes", np.array(self.nodes, dtype=float))
+        object.__setattr__(self, "weights", np.array(self.weights, dtype=float))
         if self.nodes.ndim != 1 or self.nodes.size == 0 or self.weights.shape != self.nodes.shape:
             raise ValueError("nodes and weights must be 1-D arrays of one nonzero length, "
                              f"got shapes {self.nodes.shape} and {self.weights.shape}")

@@ -28,10 +28,12 @@ from cliffordprolate.special import (
 
 from oracles import (
     Mc_kernel,
+    Q_mp,
     ball_gram,
     brute_Gc,
     brute_Kc,
     brute_Mc,
+    brute_Q,
     brute_hankel,
     dual_orthogonality_check,
     profiles_together,
@@ -226,6 +228,18 @@ def test_verify_still_fails_a_perturbed_cpswf_at_large_c():
         assert max(rep.residual, rep.gc_residual) > 1e-10, i
 
 
+def test_qpc_residual_alone_fails_a_perturbed_cpswf_at_c_4():
+    # the QP_c check by itself: 1.3e-15 clean, at least 2.6e-9 with a change
+    # of 1e-8 in any one active coefficient
+    psi = make_cpswf(1, 3, 2, 4.0)
+    assert verify(psi).residual <= 1e-12
+    for i in range(psi._active):
+        coeffs = psi.coeffs.copy()
+        coeffs[i] += 1e-8
+        rep = verify(dataclasses.replace(psi, pair=RadialEigenpair(psi.chi, coeffs)))
+        assert rep.residual > 1e-10, i
+
+
 @pytest.mark.xfail(strict=True, raises=AssertionError,
                    reason="s^(-nu) times a J_nu(2 pi c r s) that underflows (ROADMAP item 4)")
 def test_verify_passes_at_large_nu():
@@ -296,19 +310,84 @@ def test_apply_Gc_and_apply_QPc_form_only_their_own_profile(monkeypatch):
             assert got.weight_exponent == 2 * (psi.k + psi.n % 2) + psi.m - 1
 
 
+def _row_error(Q: np.ndarray, ref: np.ndarray) -> float:
+    """Worst entry error of Q relative to the largest entry of its row of ref."""
+    return float(np.max(np.abs(Q - ref) / np.max(np.abs(ref), axis=1, keepdims=True)))
+
+
 def test_cached_matrices_match_fresh_transforms():
     rule = gauss_rule_unit_interval(256)
     grid = chebyshev_grid(GRID_POINTS)
     for nu, c in [(0.5, 1.0), (2.0, 3.5)]:
         G, Q = operators._operator_matrices(nu, c, grid, rule)
         assert np.array_equal(G, transform_matrix(nu, c, grid, rule))
-        ref = G @ transform_matrix(nu, c, rule.nodes, rule)
-        assert np.max(np.abs(Q - ref)) <= 1e-14 * np.max(np.abs(ref))
+        assert _row_error(Q, brute_Q(nu, c, grid, rule)) <= 1e-12
+
+
+def _near_node_grids(rule: QuadratureRule) -> dict:
+    """The default grid, and the default grid plus one point on a rule node
+    or 1 ulp, 1e-12, 1e-9, 1e-6 or 1e-3 above it, for a node near r = 0.06
+    and one near 0.6."""
+    grids = {"default": chebyshev_grid(GRID_POINTS)}
+    for j in (16, 150):
+        node = rule.nodes[j]
+        for name, point in [("on", node), ("1 ulp", np.nextafter(node, 1.0)),
+                            ("1e-12", node + 1e-12), ("1e-9", node + 1e-9),
+                            ("1e-6", node + 1e-6), ("1e-3", node + 1e-3)]:
+            grids[f"{name} off node {j}"] = np.sort(np.append(grids["default"], point))
+    return grids
+
+
+@pytest.mark.parametrize("c", [0.5, 4.0, 100.0])
+@pytest.mark.parametrize("nu", [0.0, 0.5, 2.0, 20.5])
+def test_qpc_matrix_matches_the_oracle_near_and_on_the_nodes(nu, c):
+    # every entry, on grids that sit on a node or just off one, where the
+    # cross form of the Lommel kernel cancels; the quadrature oracle is
+    # exact enough up to c = 4, the multiprecision one serves at c = 100
+    rule = operators._default_rule(c)
+    grids = _near_node_grids(rule)
+    union = np.unique(np.concatenate(list(grids.values())))
+    ref = brute_Q(nu, c, union, rule) if c <= 4 else Q_mp(nu, c, union, rule)
+    for name, grid in grids.items():
+        _, Q = operators._operator_matrices(nu, c, grid, rule)
+        assert np.all(np.isfinite(Q)), name
+        assert _row_error(Q, ref[np.searchsorted(union, grid)]) <= 1e-12, name
+
+
+@pytest.mark.parametrize("n, k, c", [(0, 64, 1.0), (1, 0, 1e-200)])
+def test_qpc_matrix_is_finite_at_large_nu_and_tiny_c(n, k, c):
+    # verify --m 2 --c 1 --k 64: J_64 underflows on much of the grid; at
+    # c = 1e-200, a^2 - b^2 underflows unless the cross form is scaled
+    psi = make_cpswf(n, k, 2, c)
+    G, Q, _ = operators._matrices(psi, operators._default_grid(), None)
+    assert np.all(np.isfinite(G)) and np.all(np.isfinite(Q))
+    rep = verify(psi)
+    assert math.isfinite(rep.residual) and math.isfinite(rep.lambda_est)
+
+
+def test_a_cache_miss_evaluates_j_at_64_n_plus_2_64_plus_n_points(monkeypatch):
+    # the grid matrix of G_c takes 64 n values, Q's Lommel kernel J_nu and
+    # J_(nu+1) at the grid and the nodes: no n x n table
+    sizes = []
+    jv_real = operators._jv()
+    monkeypatch.setattr(operators, "_jv",
+                        lambda: lambda nu, z: sizes.append(np.size(z)) or jv_real(nu, z))
+    operators._cached_matrices.cache_clear()
+    psi = make_cpswf(1, 2, 3, 1.0)
+    verify(psi)
+    assert sum(sizes) == GRID_POINTS * 256 + 2 * (GRID_POINTS + 256)
+    verify(psi)
+    assert sum(sizes) == GRID_POINTS * 256 + 2 * (GRID_POINTS + 256)
+    sizes.clear()
+    operators._operator_matrices(2.0, 363.0, operators._default_grid(),
+                                 operators._default_rule(363.0))
+    assert sum(sizes) == GRID_POINTS * 512 + 2 * (GRID_POINTS + 512)
 
 
 def test_verify_builds_two_matrices_per_nu(monkeypatch):
     # m = 3, c = 1, k <= 3: nu = k + 1/2 (even) or k + 3/2 (odd), five
-    # values shared by 28 CPSWFs; each needs the grid and the node matrix
+    # values shared by 28 CPSWFs; each builds G_c's grid matrix through
+    # transform_matrix and QP_c's from the Lommel kernel
     calls = []
     real = operators.transform_matrix
 
@@ -322,9 +401,7 @@ def test_verify_builds_two_matrices_per_nu(monkeypatch):
     assert len(psis) == 28
     for psi in psis:
         verify(psi)
-    assert len(calls) == 10
-    assert sorted(calls) == sorted((k + 0.5, size) for k in range(5)
-                                   for size in (GRID_POINTS, 256))
+    assert sorted(calls) == [(k + 0.5, GRID_POINTS) for k in range(5)]
 
 
 def test_matrix_cache_does_not_alias():
@@ -343,13 +420,14 @@ def test_matrix_cache_does_not_alias():
     G, Q = operators._operator_matrices(nu, psi.c, chebyshev_grid(GRID_POINTS),
                                         operators._default_rule(363.0))
     assert G.shape == Q.shape == (GRID_POINTS, 512)
-    # equal nodes, different weights: T is linear in the weights
+    # equal nodes, different weights: G and Q are linear in the weights
+    # (one quadrature each), and doubling is exact
     heavy = QuadratureRule(rule.nodes, 2 * rule.weights)
     grid = chebyshev_grid(GRID_POINTS)
     G1, Q1 = operators._operator_matrices(nu, psi.c, grid, rule)
     G2, Q2 = operators._operator_matrices(nu, psi.c, grid, heavy)
     assert np.array_equal(G2, 2 * G1)
-    assert np.allclose(Q2, 4 * Q1, rtol=1e-14, atol=0)
+    assert np.array_equal(Q2, 2 * Q1)
 
 
 def test_cached_matrices_are_read_only():

@@ -54,6 +54,15 @@ def test_quadrature_rule_accepts_its_end_points():
     assert rule.nodes.tolist() == [0.0, 1.0] and not rule.nodes.flags.writeable
 
 
+def test_quadrature_rule_leaves_the_callers_arrays_writable():
+    nodes, weights = np.linspace(0.1, 0.9, 5), np.full(5, 0.2)
+    rule = QuadratureRule(nodes, weights)
+    for mine, kept in ((nodes, rule.nodes), (weights, rule.weights)):
+        assert mine.flags.writeable and kept is not mine and not kept.flags.writeable
+    nodes[0] = 0.5
+    assert rule.nodes[0] == 0.1
+
+
 def test_gamma_matches_math():
     for x in [0.5, 1.0, 2.5, 7.0]:
         assert abs(gamma_fn(x) - math.gamma(x)) < 1e-12
